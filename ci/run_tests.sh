@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: build and test the default (RelWithDebInfo) tree and
-# the ASan+UBSan tree. The sanitizer pass is what keeps the wire-framing
-# and transport robustness tests honest — a buffer overread or UB in the
-# decode path fails the build here even when the plain run passes.
+# CI entry point: build and test the default (RelWithDebInfo) tree, the
+# ASan+UBSan tree, and the threaded tests under TSan. The ASan pass is
+# what keeps the wire-framing and transport robustness tests honest — a
+# buffer overread or UB in the decode path fails the build here even
+# when the plain run passes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -88,6 +89,18 @@ run_preset() {
 
 run_preset default build
 run_preset asan build-asan
+
+# ThreadSanitizer over the threaded paths: BatchRunner workers sharing
+# one immutable sharedWorld (so World::raycast must stay stateless),
+# supervisor checkpoint/restore threads, and rosed's IO thread, worker
+# pool and pause/drop hooks. The tsan test preset selects test_batch,
+# test_supervisor and test_serve.
+echo "==== [tsan] configure + build (threaded tests) ===="
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs" \
+    --target test_batch test_supervisor test_serve
+echo "==== [tsan] test ===="
+ctest --preset tsan
 
 # ISA-dispatch parity gate: the whole suite must also pass with the
 # GEMM dispatcher pinned to the scalar kernel (ROSE_GEMM_ISA=scalar).

@@ -11,7 +11,11 @@
  * and the table is identical for any N.
  *
  * Run: ./build/examples/design_space_exploration [--jobs N]
- *          [world] [velocity]
+ *          [--batch-json PATH] [world] [velocity]
+ *
+ * Exits 2 on an unknown option or bad argument (before any mission
+ * runs) and 1 if any batch slot fails; a failed batch does not
+ * overwrite the batch report.
  */
 
 #include <cstdio>
@@ -29,8 +33,38 @@ main(int argc, char **argv)
     using namespace rose;
 
     core::BatchCli cli = core::parseBatchCli(argc, argv);
-    std::string world = argc > 1 ? argv[1] : "s-shape";
-    double velocity = argc > 2 ? std::atof(argv[2]) : 9.0;
+    const char *usage =
+        "usage: design_space_exploration [--jobs N] [--batch-json PATH] "
+        "[world] [velocity]\n";
+    std::vector<std::string> args;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "-h" || arg == "--help") {
+            std::fputs(usage, stdout);
+            return 0;
+        }
+        if (arg.starts_with("-")) {
+            std::fprintf(stderr, "unknown option: %s\n%s", arg.c_str(),
+                         usage);
+            return 2;
+        }
+        args.push_back(arg);
+    }
+    if (args.size() > 2) {
+        std::fprintf(stderr, "too many arguments\n%s", usage);
+        return 2;
+    }
+    std::string world = args.size() > 0 ? args[0] : "s-shape";
+    double velocity = 9.0;
+    if (args.size() > 1) {
+        char *end = nullptr;
+        velocity = std::strtod(args[1].c_str(), &end);
+        if (*end != '\0' || !(velocity > 0.0)) {
+            std::fprintf(stderr, "bad velocity: %s\n%s",
+                         args[1].c_str(), usage);
+            return 2;
+        }
+    }
 
     std::printf("RoSE design-space exploration: %s @ %.1f m/s\n\n",
                 world.c_str(), velocity);
@@ -53,6 +87,9 @@ main(int argc, char **argv)
 
     core::BatchRunner runner(cli.options());
     std::vector<core::MissionResult> results = runner.run(specs);
+    size_t failed = 0;
+    for (const core::MissionResult &r : results)
+        failed += r.status == core::MissionStatus::Crashed;
 
     for (size_t i = 0; i < specs.size(); ++i) {
         const core::MissionSpec &spec = specs[i];
@@ -81,6 +118,12 @@ main(int argc, char **argv)
                  "equivalent, %.2fx speedup at %d jobs)\n",
                  bs.missions, bs.wallSeconds, bs.serialSeconds,
                  bs.speedup(), cli.jobs);
+
+    if (failed > 0) {
+        std::fprintf(stderr, "%zu of %zu batch slots failed\n", failed,
+                     results.size());
+        return 1;
+    }
 
     core::BatchReport report("design_space_exploration");
     report.add(world + "_soc_x_zoo", bs);

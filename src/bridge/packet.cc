@@ -1,5 +1,6 @@
 #include "packet.hh"
 
+#include <array>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -249,9 +250,11 @@ encodeImageResp(const env::Image &img)
     ByteWriter w(p.payload);
     w.u16(static_cast<uint16_t>(img.width));
     w.u16(static_cast<uint16_t>(img.height));
+    p.payload.resize(p.payload.size() + img.pixels.size());
+    uint8_t *out = p.payload.data() + p.payload.size() - img.pixels.size();
     for (float v : img.pixels) {
         double c = clampd(double(v), 0.0, 1.0);
-        w.u8(static_cast<uint8_t>(c * 255.0 + 0.5));
+        *out++ = static_cast<uint8_t>(c * 255.0 + 0.5);
     }
     return p;
 }
@@ -274,8 +277,18 @@ decodeImageRespInto(const Packet &p, env::Image &img)
     img.width = w;
     img.height = h;
     img.pixels.resize(size_t(w) * size_t(h));
+    // Byte -> level table holding exactly u8 / 255.0f.
+    static const std::array<float, 256> kLevel = [] {
+        std::array<float, 256> t{};
+        for (int i = 0; i < 256; ++i)
+            t[size_t(i)] = i / 255.0f;
+        return t;
+    }();
+    // The pixel bytes are the rest of the payload (checked above).
+    const uint8_t *in =
+        p.payload.data() + (p.payload.size() - r.remaining());
     for (float &v : img.pixels)
-        v = r.u8() / 255.0f;
+        v = kLevel[*in++];
 }
 
 env::Image

@@ -57,16 +57,24 @@ openColumn(int height, float *out)
         out[size_t(r)] = r < mid ? 0.85f : 0.15f;
 }
 
-/** SSD against a pre-widened contiguous column (see PoseScratch::
- *  colBuf). float->double conversion is exact, so hoisting it out of
- *  the sweep leaves every difference and sum bit-identical. */
+/**
+ * SSD against a pre-widened contiguous column (see PoseScratch::
+ * colBuf; float->double conversion is exact), abandoned as soon as the
+ * partial sum reaches @p bound. The terms are non-negative and IEEE
+ * addition is monotone, so a partial sum >= bound means the full sum
+ * is >= bound too: a caller that keeps only sums < bound makes exactly
+ * the choices, ties included, that the full sums would give it.
+ */
 double
-ssd(const float *profile, int height, const double *col)
+ssdBelow(const float *profile, int height, const double *col,
+         double bound)
 {
     double sum = 0.0;
     for (int r = 0; r < height; ++r) {
         double d = double(profile[size_t(r)]) - col[size_t(r)];
         sum += d * d;
+        if (sum >= bound)
+            break;
     }
     return sum;
 }
@@ -147,15 +155,16 @@ estimatePose(const env::Image &img, const EstimatorConfig &cfg,
             const float *profile =
                 &s.profiles[(ci * size_t(img.width) + size_t(c)) *
                             size_t(img.height)];
-            double e = ssd(profile, img.height, s.colBuf.data());
+            double e = ssdBelow(profile, img.height, s.colBuf.data(),
+                                best);
             if (e < best) {
                 best = e;
                 best_d = s.candidates[ci];
                 best_open = false;
             }
         }
-        double e_open =
-            ssd(s.openProfile.data(), img.height, s.colBuf.data());
+        double e_open = ssdBelow(s.openProfile.data(), img.height,
+                                 s.colBuf.data(), best);
         if (e_open < best) {
             best_open = true;
             best_d = cfg.maxDepth;

@@ -67,9 +67,15 @@ rayCircle(double ox, double oy, double dx, double dy,
 RayHit
 World::raycast(const Vec3 &origin, double azimuth, double max_range) const
 {
-    // The walls are smooth analytic curves; fixed-step marching with a
-    // bisection refinement is robust and plenty fast for sensor rates.
+    // Fixed-step march with a bisection refinement of the first step
+    // that ends outside. The wall test is margin(t) <= 0, which is
+    // exactly |y - centerY(x)| >= halfWidth(x); it is skipped wherever
+    // wallBounds() proves its outcome, so the visited t values, every
+    // test's outcome and the returned hit are those of testing all of
+    // them (DESIGN.md section 5h).
     const double coarse = 0.10;
+    // Slack for rounding in the computed geometry and chord [m].
+    const double eps = 1e-9;
     double dx = std::cos(azimuth);
     double dy = std::sin(azimuth);
 
@@ -81,14 +87,15 @@ World::raycast(const Vec3 &origin, double azimuth, double max_range) const
             pillar_t = t;
     }
 
-    auto outside = [&](double t) {
+    auto margin = [&](double t) {
         double x = origin.x + dx * t;
         double y = origin.y + dy * t;
-        return std::abs(y - centerY(x)) >= halfWidth(x);
+        return halfWidth(x) - std::abs(y - centerY(x));
     };
 
     RayHit hit;
-    if (outside(0.0)) {
+    double m_eval = margin(0.0);
+    if (m_eval <= 0.0) {
         // Ray starts inside a wall; report an immediate hit.
         hit.hit = true;
         hit.distance = 0.0;
@@ -107,31 +114,75 @@ World::raycast(const Vec3 &origin, double azimuth, double max_range) const
         return h;
     };
 
+    // Along this ray |d margin/dt| <= |dy| + slope * |dx| and
+    // |d2 margin/dt2| <= curvature * dx^2 (away from the centerline).
+    const WallBounds bounds = wallBounds();
+    const double lip = std::isfinite(bounds.slope)
+                           ? std::abs(dy) + bounds.slope * std::abs(dx)
+                           : WallBounds::kUnknown;
+    const double kappa = std::isfinite(bounds.curvature)
+                             ? bounds.curvature * dx * dx
+                             : WallBounds::kUnknown;
+
+    double t_eval = 0.0; // last evaluated march point, margin m_eval
     double t_prev = 0.0;
     for (double t = coarse; t <= max_range; t += coarse) {
         if (t > pillar_t && pillar_t <= max_range)
             return pillarHit();
-        if (outside(t)) {
-            // Bisect [t_prev, t] to localize the crossing.
-            double lo = t_prev, hi = t;
-            for (int i = 0; i < 20; ++i) {
-                double mid = 0.5 * (lo + hi);
-                if (outside(mid))
-                    hi = mid;
-                else
-                    lo = mid;
-            }
-            if (pillar_t < hi && pillar_t <= max_range)
-                return pillarHit();
-            hit.hit = true;
-            hit.distance = hi;
-            hit.point = Vec3{origin.x + dx * hi, origin.y + dy * hi,
-                             origin.z};
-            hit.side =
-                (hit.point.y - centerY(hit.point.x)) > 0.0 ? 1 : -1;
-            return hit;
+        // Provably inside: the margin cannot have reached zero since
+        // the last evaluated point.
+        if (m_eval - lip * (t - t_eval) > eps) {
+            t_prev = t;
+            continue;
         }
-        t_prev = t;
+        double m = margin(t);
+        if (m > 0.0) {
+            t_eval = t_prev = t;
+            m_eval = m;
+            continue;
+        }
+        // Bisect [t_prev, t] to localize the crossing. [a, b] is the
+        // tightest bracket with evaluated margins; the step holds no
+        // centerline kink (WallBounds::curvature), so the margin stays
+        // within 0.5 * kappa * (mid - a) * (b - mid) of their chord,
+        // and a chord beyond that (plus eps) settles the midpoint.
+        double a = t_prev, m_a = t_eval == t_prev ? m_eval : margin(a);
+        double b = t, m_b = m;
+        double lo = t_prev, hi = t;
+        for (int i = 0; i < 20; ++i) {
+            double mid = 0.5 * (lo + hi);
+            double chord = m_a + (m_b - m_a) * ((mid - a) / (b - a));
+            double slack = 0.5 * kappa * (mid - a) * (b - mid) + eps;
+            bool outside;
+            if (chord > slack) {
+                outside = false;
+            } else if (chord < -slack) {
+                outside = true;
+            } else {
+                double m_mid = margin(mid);
+                outside = m_mid <= 0.0;
+                if (outside) {
+                    b = mid;
+                    m_b = m_mid;
+                } else {
+                    a = mid;
+                    m_a = m_mid;
+                }
+            }
+            if (outside)
+                hi = mid;
+            else
+                lo = mid;
+        }
+        if (pillar_t < hi && pillar_t <= max_range)
+            return pillarHit();
+        hit.hit = true;
+        hit.distance = hi;
+        hit.point = Vec3{origin.x + dx * hi, origin.y + dy * hi,
+                         origin.z};
+        hit.side =
+            (hit.point.y - centerY(hit.point.x)) > 0.0 ? 1 : -1;
+        return hit;
     }
     if (pillar_t <= max_range)
         return pillarHit();
@@ -187,7 +238,7 @@ ZigzagWorld::centerY(double x) const
 {
     // Integrate the slope numerically; the step is fine enough for
     // sensor rates and the result is cached nowhere (cheap anyway).
-    const double h = 0.25;
+    const double h = kStep;
     double y = 0.0;
     double t = 0.0;
     while (t + h <= x) {

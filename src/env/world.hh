@@ -14,6 +14,7 @@
 #ifndef ROSE_ENV_WORLD_HH
 #define ROSE_ENV_WORLD_HH
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +45,28 @@ struct Obstacle
 };
 
 /**
+ * Conservative derivative bounds of a world's wall geometry, holding for
+ * centerY()/halfWidth() as computed, over all x. raycast() uses them to
+ * skip wall tests whose outcome they prove; an unknown (infinite) bound
+ * makes it test every point.
+ */
+struct WallBounds
+{
+    static constexpr double kUnknown =
+        std::numeric_limits<double>::infinity();
+
+    /** Lipschitz bound on |centerY'(x)| + |halfWidth'(x)|. */
+    double slope = kUnknown;
+    /**
+     * Bound on |centerY''(x)| + |halfWidth''(x)|. A finite value also
+     * promises halfWidth(x) > 0.1 * (1 + slope) everywhere, so no march
+     * step that ends outside the corridor can contain the centerline,
+     * where |y - centerY(x)| has its kink.
+     */
+    double curvature = kUnknown;
+};
+
+/**
  * Abstract corridor world. Coordinates: x is mission progress, y is
  * lateral, z is altitude. Worlds may additionally carry pillar
  * obstacles (full-height cylinders): they block rays (so the camera
@@ -69,6 +92,9 @@ class World
     /** Wall height used by the camera model [m]. */
     virtual double wallHeight() const { return 4.0; }
 
+    /** Derivative bounds of the walls (default: unknown). */
+    virtual WallBounds wallBounds() const { return {}; }
+
     /** Slope dCenterY/dx, default via central difference. */
     virtual double centerSlope(double x) const;
 
@@ -91,7 +117,10 @@ class World
     /**
      * March a ray from origin along the horizontal direction given by
      * azimuth (world yaw) until it exits the corridor through a wall
-     * or strikes a pillar obstacle, whichever is closer.
+     * or strikes a pillar obstacle, whichever is closer. The march
+     * steps 0.1 m and bisects the first outside step 20 times; wall
+     * tests that wallBounds() decides are skipped without changing
+     * the result. Stateless, so one world serves concurrent missions.
      *
      * @param origin ray start; only x/y are used for wall intersection.
      * @param azimuth world-frame heading of the ray [rad].
@@ -119,6 +148,7 @@ class TunnelWorld : public World
     double centerY(double) const override { return 0.0; }
     double halfWidth(double) const override { return 1.6; }
     double centerSlope(double) const override { return 0.0; }
+    WallBounds wallBounds() const override { return {0.0, 0.0}; }
 };
 
 /**
@@ -147,6 +177,17 @@ class SShapeWorld : public World
                std::cos(2.0 * kPi * x / length());
     }
 
+    /** |centerY'| <= A k = 0.628 and |centerY''| <= A k^2 = 0.049
+     *  for k = 2 pi / length, each with 1e-3 of headroom (std::sin's
+     *  rounding is far below raycast's 1e-9 m slack); halfWidth 2 >
+     *  0.1 * (1 + 0.629). */
+    WallBounds
+    wallBounds() const override
+    {
+        const double k = 2.0 * kPi / length();
+        return {amplitude_ * k + 1e-3, amplitude_ * k * k + 1e-3};
+    }
+
   private:
     double amplitude_ = 8.0;
 };
@@ -166,10 +207,28 @@ class ZigzagWorld : public World
     double centerY(double x) const override;
     double centerSlope(double x) const override;
 
+    /**
+     * centerY integrates the slope s with trapezoid steps of h = 0.25,
+     * so inside a step its derivative is 0.5 * (s(t) + s(x)) +
+     * 0.5 * s'(x) * (x - t): at most kSlope + 0.5 * max|s'| * h, where
+     * max|s'| = 1.5 * 2 * kSlope / (2 * kRound) is the smoothstep
+     * corner's peak rate: 0.383, declared with 1e-3 of headroom. The
+     * derivative jumps at step boundaries, so the curvature stays
+     * unknown.
+     */
+    WallBounds
+    wallBounds() const override
+    {
+        constexpr double max_rate = 1.5 * kSlope / kRound;
+        return {kSlope + 0.5 * max_rate * kStep + 1e-3,
+                WallBounds::kUnknown};
+    }
+
   private:
     static constexpr double kSegment = 15.0; ///< segment length [m]
     static constexpr double kSlope = 0.35;   ///< tan of zig angle
     static constexpr double kRound = 2.0;    ///< corner rounding [m]
+    static constexpr double kStep = 0.25;    ///< centerY trapezoid step [m]
 };
 
 /** Construct a world by map name; fatal on unknown names. */

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bridge/fifo.hh"
 #include "bridge/packet.hh"
 #include "bridge/rose_bridge.hh"
 #include "bridge/target_driver.hh"
 #include "bridge/transport.hh"
+#include "util/rng.hh"
 
 using namespace rose;
 using namespace rose::bridge;
@@ -55,6 +58,39 @@ TEST(Packet, ImageRoundTripQuantized)
     EXPECT_EQ(r.height, 4);
     for (size_t i = 0; i < img.pixels.size(); ++i)
         EXPECT_NEAR(r.pixels[i], img.pixels[i], 1.0 / 255.0);
+}
+
+TEST(Packet, ImageCodecMatchesPerByteReference)
+{
+    // The codec writes and reads the pixel bytes in one pass; its bytes
+    // and levels must equal the per-pixel ByteWriter/ByteReader form,
+    // including clamping of out-of-range values and every byte value.
+    env::Image img(64, 48);
+    Rng rng(7);
+    for (size_t i = 0; i < img.pixels.size(); ++i)
+        img.pixels[i] = i < 256 ? float(i) / 255.0f
+                                : float(rng.uniform(-0.25, 1.25));
+    Packet p = encodeImageResp(img);
+
+    std::vector<uint8_t> want;
+    ByteWriter w(want);
+    w.u16(64);
+    w.u16(48);
+    for (float v : img.pixels) {
+        double c = clampd(double(v), 0.0, 1.0);
+        w.u8(static_cast<uint8_t>(c * 255.0 + 0.5));
+    }
+    ASSERT_EQ(p.payload, want);
+
+    env::Image r = decodeImageResp(p);
+    ByteReader rd(want);
+    rd.u16();
+    rd.u16();
+    for (size_t i = 0; i < r.pixels.size(); ++i) {
+        float level = rd.u8() / 255.0f;
+        ASSERT_EQ(std::memcmp(&r.pixels[i], &level, sizeof(float)), 0)
+            << "pixel " << i;
+    }
 }
 
 TEST(Packet, ImageDecodeIntoMatchesAndReusesBuffer)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "env/envsim.hh"
 #include "env/sensors.hh"
@@ -133,6 +135,235 @@ TEST(Raycast, SShapeCurvedWall)
     EXPECT_TRUE(hit.hit);
     EXPECT_GT(hit.distance, 1.5);
     EXPECT_LT(hit.distance, 50.0);
+}
+
+namespace {
+
+/** Nearest ray-circle intersection distance, or a negative value. */
+double
+referenceRayCircle(double ox, double oy, double dx, double dy,
+                   const Obstacle &o)
+{
+    double cx = o.x - ox, cy = o.y - oy;
+    double t = cx * dx + cy * dy;
+    if (t < 0.0)
+        return -1.0;
+    double closest2 = cx * cx + cy * cy - t * t;
+    double r2 = o.radius * o.radius;
+    if (closest2 > r2)
+        return -1.0;
+    double thit = t - std::sqrt(r2 - closest2);
+    return thit >= 0.0 ? thit : 0.0;
+}
+
+/**
+ * Oracle for World::raycast: the plain fixed-step march that tests the
+ * walls at every step and every bisection midpoint.
+ */
+RayHit
+referenceRaycast(const World &w, const Vec3 &origin, double azimuth,
+                 double max_range)
+{
+    const double coarse = 0.10;
+    double dx = std::cos(azimuth);
+    double dy = std::sin(azimuth);
+
+    double pillar_t = max_range + 1.0;
+    for (const Obstacle &o : w.obstacles()) {
+        double t = referenceRayCircle(origin.x, origin.y, dx, dy, o);
+        if (t >= 0.0 && t < pillar_t)
+            pillar_t = t;
+    }
+
+    auto outside = [&](double t) {
+        double x = origin.x + dx * t;
+        double y = origin.y + dy * t;
+        return std::abs(y - w.centerY(x)) >= w.halfWidth(x);
+    };
+
+    RayHit hit;
+    if (outside(0.0)) {
+        hit.hit = true;
+        hit.distance = 0.0;
+        hit.point = origin;
+        hit.side = w.lateralOffset(origin) > 0.0 ? 1 : -1;
+        return hit;
+    }
+
+    auto pillarHit = [&]() {
+        RayHit h;
+        h.hit = true;
+        h.distance = pillar_t;
+        h.point = Vec3{origin.x + dx * pillar_t,
+                       origin.y + dy * pillar_t, origin.z};
+        h.side = w.lateralOffset(h.point) > 0.0 ? 1 : -1;
+        return h;
+    };
+
+    double t_prev = 0.0;
+    for (double t = coarse; t <= max_range; t += coarse) {
+        if (t > pillar_t && pillar_t <= max_range)
+            return pillarHit();
+        if (outside(t)) {
+            double lo = t_prev, hi = t;
+            for (int i = 0; i < 20; ++i) {
+                double mid = 0.5 * (lo + hi);
+                if (outside(mid))
+                    hi = mid;
+                else
+                    lo = mid;
+            }
+            if (pillar_t < hi && pillar_t <= max_range)
+                return pillarHit();
+            hit.hit = true;
+            hit.distance = hi;
+            hit.point = Vec3{origin.x + dx * hi, origin.y + dy * hi,
+                             origin.z};
+            hit.side =
+                (hit.point.y - w.centerY(hit.point.x)) > 0.0 ? 1 : -1;
+            return hit;
+        }
+        t_prev = t;
+    }
+    if (pillar_t <= max_range)
+        return pillarHit();
+    hit.hit = false;
+    hit.distance = max_range;
+    hit.point = Vec3{origin.x + dx * max_range, origin.y + dy * max_range,
+                     origin.z};
+    return hit;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool
+sameHit(const RayHit &a, const RayHit &b)
+{
+    return a.hit == b.hit && a.side == b.side &&
+           sameBits(a.distance, b.distance) &&
+           sameBits(a.point.x, b.point.x) &&
+           sameBits(a.point.y, b.point.y) &&
+           sameBits(a.point.z, b.point.z);
+}
+
+} // namespace
+
+TEST(Raycast, SkippingMarchMatchesFullMarchBitForBit)
+{
+    // zigzag's centerY integrates its slope from x = 0 on every call,
+    // so its rays cost the oracle far more; it gets fewer of them.
+    const struct
+    {
+        const char *world;
+        int rays;
+    } cases[] = {{"tunnel", 45000}, {"s-shape", 45000}, {"zigzag", 12000}};
+
+    Rng rng(0x7a9c);
+    int checked = 0, mismatches = 0, wall_hits = 0, pillar_hits = 0,
+        misses = 0, inside_wall = 0;
+    for (const auto &c : cases) {
+        std::unique_ptr<World> open = makeWorld(c.world);
+        std::unique_ptr<World> pillars = makeWorld(c.world);
+        for (int i = 0; i < 16; ++i) {
+            double x = rng.uniform(0.0, pillars->length());
+            pillars->addObstacle({x,
+                                  pillars->centerY(x) +
+                                      rng.uniform(-1.5, 1.5),
+                                  rng.uniform(0.1, 0.6)});
+        }
+        for (int i = 0; i < c.rays; ++i) {
+            const World &w = i % 3 == 0 ? *pillars : *open;
+            double x = rng.uniform(-1.0, w.length() + 1.0);
+            double hw = w.halfWidth(x);
+            double off;
+            switch (i % 4) {
+              case 0: // anywhere, including a little inside the walls
+                off = rng.uniform(-1.05, 1.05) * hw;
+                break;
+              case 1: // hugging a wall from inside, within 1 mm
+                off = (rng.uniform() < 0.5 ? -1.0 : 1.0) *
+                      (hw - rng.uniform(0.0, 1e-3));
+                break;
+              default:
+                off = rng.uniform(-0.6, 0.6) * hw;
+            }
+            Vec3 origin{x, w.centerY(x) + off, 1.5};
+            // Half the rays look roughly down the corridor, as the
+            // camera's do; the rest go in any direction.
+            double az = i % 2 == 0
+                            ? w.tangentAngle(x) + rng.uniform(-0.8, 0.8)
+                            : rng.uniform(-kPi, kPi);
+            double range = i % 5 == 0   ? rng.uniform(0.0, 2.0)
+                           : i % 5 == 1 ? rng.uniform(2.0, 15.0)
+                                        : 60.0;
+
+            RayHit got = w.raycast(origin, az, range);
+            RayHit want = referenceRaycast(w, origin, az, range);
+            ++checked;
+            if (!sameHit(got, want)) {
+                if (++mismatches <= 5)
+                    ADD_FAILURE()
+                        << c.world << " ray " << i << " from (" << x
+                        << ", " << origin.y << ") az " << az
+                        << " range " << range << ": got "
+                        << got.distance << " want " << want.distance;
+            }
+            if (!want.hit)
+                ++misses;
+            else if (want.distance == 0.0)
+                ++inside_wall;
+            else if (&w == pillars.get() &&
+                     std::abs(std::abs(want.point.y -
+                                       w.centerY(want.point.x)) -
+                              w.halfWidth(want.point.x)) > 1e-3)
+                ++pillar_hits;
+            else
+                ++wall_hits;
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << checked << " rays";
+    EXPECT_GE(checked, 100000);
+    // The sample must exercise every outcome of the march.
+    EXPECT_GT(wall_hits, 10000);
+    EXPECT_GT(pillar_hits, 100);
+    EXPECT_GT(misses, 1000);
+    EXPECT_GT(inside_wall, 1000);
+}
+
+TEST(World, WallBoundsHoldForComputedGeometry)
+{
+    // raycast() trusts these bounds to skip wall tests; check them on
+    // the geometry as computed, by finite differences.
+    const double h = 2e-3;
+    for (const char *name : {"tunnel", "s-shape", "zigzag"}) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<World> w = makeWorld(name);
+        WallBounds b = w->wallBounds();
+        ASSERT_TRUE(std::isfinite(b.slope));
+        double max_slope = 0.0, max_curv = 0.0, min_hw = 1e30;
+        for (double x = -2.0; x < w->length() + 2.0; x += h) {
+            double c0 = w->centerY(x - h), c1 = w->centerY(x),
+                   c2 = w->centerY(x + h);
+            double w0 = w->halfWidth(x - h), w1 = w->halfWidth(x),
+                   w2 = w->halfWidth(x + h);
+            max_slope = std::max(max_slope,
+                                 std::abs(c2 - c1) / h +
+                                     std::abs(w2 - w1) / h);
+            max_curv = std::max(max_curv,
+                                std::abs(c2 - 2 * c1 + c0) / (h * h) +
+                                    std::abs(w2 - 2 * w1 + w0) / (h * h));
+            min_hw = std::min(min_hw, w1);
+        }
+        EXPECT_LE(max_slope, b.slope);
+        if (std::isfinite(b.curvature)) {
+            EXPECT_LE(max_curv, b.curvature);
+            EXPECT_GT(min_hw, 0.1 * (1.0 + b.slope));
+        }
+    }
 }
 
 // ----------------------------------------------------------------- Drone

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <new>
 
+#include "bridge/packet.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
 #include "dnn/forward.hh"
@@ -549,6 +550,77 @@ TEST(HotpathPose, ScratchOverloadBitIdentical)
         EXPECT_EQ(std::memcmp(&fresh.offsetM, &cached.offsetM,
                               sizeof(double)), 0);
     }
+}
+
+TEST(HotpathPose, BoundedSsdMatchesFullSsdFit)
+{
+    // estimatePose abandons a template's SSD once its partial sum
+    // reaches the best so far. Replay every column's fit with full
+    // sums over the scratch's own template bank and require the same
+    // winner, on s-shape frames quantized to 8 bits by the image codec
+    // as every mission frame is. Every fourth frame looks down the
+    // straight tunnel instead, where the open-corridor profile wins.
+    env::SShapeWorld sshape;
+    env::TunnelWorld tunnel;
+    env::Camera cam(env::CameraConfig{}, Rng(51));
+    env::Drone drone;
+    Rng rng(53);
+    EstimatorConfig cfg;
+    PoseScratch scratch;
+    int columns = 0, open_columns = 0;
+    for (int frame = 0; frame < 64; ++frame) {
+        const env::World &world =
+            frame % 4 == 3 ? static_cast<const env::World &>(tunnel)
+                           : sshape;
+        double x = rng.uniform(2, world.length() - 2);
+        drone.setPose({x,
+                       world.centerY(x) +
+                           rng.uniform(-0.8, 0.8) * world.halfWidth(x),
+                       1.5},
+                      Quat::fromEuler(0, 0,
+                                      world.tangentAngle(x) +
+                                          rng.uniform(-0.6, 0.6)));
+        env::Image img = bridge::decodeImageResp(
+            bridge::encodeImageResp(cam.render(world, drone)));
+        estimatePose(img, cfg, scratch);
+
+        const size_t W = size_t(img.width), H = size_t(img.height);
+        for (size_t c = 0; c < W; ++c) {
+            auto fullSsd = [&](const float *profile) {
+                double sum = 0.0;
+                for (size_t r = 0; r < H; ++r) {
+                    double d = double(profile[r]) -
+                               double(img.at(int(r), int(c)));
+                    sum += d * d;
+                }
+                return sum;
+            };
+            double best = 1e30, best_d = cfg.maxDepth;
+            for (size_t ci = 0; ci < scratch.candidates.size(); ++ci) {
+                double e = fullSsd(
+                    &scratch.profiles[(ci * W + c) * H]);
+                if (e < best) {
+                    best = e;
+                    best_d = scratch.candidates[ci];
+                }
+            }
+            bool open = fullSsd(scratch.openProfile.data()) < best;
+            double ray = open ? cfg.maxDepth
+                              : best_d / std::max(0.2,
+                                                  std::cos(
+                                                      scratch.alpha[c]));
+            EXPECT_EQ(bool(scratch.open[c]), open)
+                << "frame " << frame << " column " << c;
+            EXPECT_EQ(std::memcmp(&scratch.rayDist[c], &ray,
+                                  sizeof(double)),
+                      0)
+                << "frame " << frame << " column " << c;
+            ++columns;
+            open_columns += open;
+        }
+    }
+    EXPECT_EQ(columns, 64 * 64);
+    EXPECT_GT(open_columns, 0);
 }
 
 TEST(HotpathPose, ScratchSteadyStateZeroAllocation)
