@@ -37,7 +37,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     std::printf("Ablation: DNN vs classical MPC companion software "
                 "(tunnel @ 3 m/s)\n\n");
@@ -90,6 +90,11 @@ main(int argc, char **argv)
                     mpc.avgLatencySeconds() * 1e3, iters.min(),
                     iters.mean(), iters.max());
     }
+
+    std::vector<core::MissionResult> dnn_results;
+    for (const SocRow &row : rows)
+        dnn_results.push_back(row.dnn);
+    core::exitIfSweepFailed(dnn_results);
 
     std::printf("\nExpected shape: the classical loop runs an order of "
                 "magnitude faster than the DNN pipeline and uses no "

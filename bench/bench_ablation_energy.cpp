@@ -25,7 +25,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     std::printf("Ablation: mission energy (s-shape @ 9 m/s)\n\n");
     std::printf("%-4s %-10s %-10s %-6s %-12s %-12s %-14s\n", "SoC",
@@ -63,6 +63,7 @@ main(int argc, char **argv)
                     r.energyJoules, r.avgPowerWatts * 1e3, jpm);
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("ablation_energy");
     report.add("soc_x_zoo", runner.stats());
     report.write(cli.jsonPath);

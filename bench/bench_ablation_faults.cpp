@@ -94,7 +94,7 @@ jsonMission(std::ostream &os, const core::MissionResult &r,
 int
 main(int argc, char **argv)
 {
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     // ---------------- Part 1: protected sync, graceful retries ------
     std::printf("Ablation: transport packet loss (tunnel @ 3 m/s, "

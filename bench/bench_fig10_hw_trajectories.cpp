@@ -29,7 +29,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     std::printf("Figure 10: tunnel trajectories, ResNet14 @ 3 m/s\n\n");
     std::printf("%-6s %-8s %-10s %-6s %-12s %-12s\n", "cfg", "yaw0",
@@ -73,6 +73,7 @@ main(int argc, char **argv)
         core::writeTrajectoryCsv(path, r);
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig10_hw_trajectories");
     report.add("cfgAxBxC_yaw_sweep", runner.stats());
     report.write(cli.jsonPath);

@@ -32,7 +32,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     std::printf("Figure 11: s-shape DNN sweep @ 9 m/s on config A "
                 "(BOOM+Gemmini)\n\n");
@@ -65,6 +65,7 @@ main(int argc, char **argv)
             "fig11_resnet" + std::to_string(depth) + ".csv", r);
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig11_dnn_sweep");
     report.add("resnet_zoo", runner.stats());
     report.write(cli.jsonPath);

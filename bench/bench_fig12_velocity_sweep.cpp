@@ -28,7 +28,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     dnn::ExecutionEngine engine(soc::configA());
     double infer_lat = engine.latencySeconds(*dnn::sharedResNet(14));
@@ -72,6 +72,7 @@ main(int argc, char **argv)
             "fig12_v" + std::to_string(int(v)) + ".csv", r);
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig12_velocity_sweep");
     report.add("velocity_sweep", runner.stats());
     report.write(cli.jsonPath);

@@ -32,7 +32,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     const double kVelocity = 10.25;
     std::printf("Figure 13: static vs dynamic DNN selection "
@@ -117,6 +117,7 @@ main(int argc, char **argv)
         }
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig13_dynamic_runtime");
     report.add("apps_x_seeds", runner.stats());
     report.write(cli.jsonPath);

@@ -31,7 +31,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     // Average each design point over seeds: configurations near the
     // stability boundary are bimodal run-to-run (the artifact
@@ -106,6 +106,7 @@ main(int argc, char **argv)
         }
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig14_codesign");
     report.add("soc_x_zoo_x_seeds", runner.stats());
     report.write(cli.jsonPath);

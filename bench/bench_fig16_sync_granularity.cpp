@@ -33,7 +33,7 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli = core::parseSweepCli(argc, argv);
 
     dnn::ExecutionEngine engine(soc::configA());
     double ideal = engine.latencySeconds(*dnn::sharedResNet(14));
@@ -78,6 +78,7 @@ main(int argc, char **argv)
             "fig16_g" + std::to_string(g / kMegaCycles) + "M.csv", r);
     }
 
+    core::exitIfSweepFailed(results);
     core::BatchReport report("fig16_sync_granularity");
     report.add("granularity_sweep", runner.stats());
     report.write(cli.jsonPath);

@@ -10,17 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <new>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "bridge/packet.hh"
@@ -37,33 +26,6 @@
 #include "util/rng.hh"
 
 using namespace rose;
-
-// --------------------------------------------------------------------
-// Process-wide allocation counter, used by the hot-path report to
-// verify the zero-steady-state-allocation contract of the workspace
-// inference path (same technique as tests/test_hotpath.cc).
-
-static std::atomic<uint64_t> g_allocCount{0};
-
-void *
-operator new(size_t n)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, size_t) noexcept { std::free(p); }
-void operator delete[](void *p, size_t) noexcept { std::free(p); }
 
 static void
 BM_PacketImageRoundTrip(benchmark::State &state)
@@ -186,36 +148,12 @@ BM_GemmNaive(benchmark::State &state)
     for (float &v : b)
         v = float(rng.uniform(-1, 1));
     for (auto _ : state) {
-        g.matmulNaive(m, k, n, a.data(), b.data(), c.data());
+        g.matmul(m, k, n, a.data(), b.data(), c.data());
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 2 * m * k * n);
 }
 BENCHMARK(BM_GemmNaive)->Args({2500, 9, 8})->Args({625, 72, 16})
-    ->Args({144, 144, 32});
-
-static void
-BM_GemmBlockedPacked(benchmark::State &state)
-{
-    const int m = int(state.range(0)), k = int(state.range(1)),
-              n = int(state.range(2));
-    gemmini::Gemmini g;
-    Rng rng(3);
-    std::vector<float> a(size_t(m) * k), b(size_t(k) * n),
-        c(size_t(m) * n);
-    for (float &v : a)
-        v = float(rng.uniform(-1, 1));
-    for (float &v : b)
-        v = float(rng.uniform(-1, 1));
-    gemmini::PackedB pb;
-    gemmini::Gemmini::packB(k, n, b.data(), pb);
-    for (auto _ : state) {
-        g.matmulPacked(m, a.data(), pb, c.data());
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 * m * k * n);
-}
-BENCHMARK(BM_GemmBlockedPacked)->Args({2500, 9, 8})->Args({625, 72, 16})
     ->Args({144, 144, 32});
 
 static void
@@ -227,39 +165,15 @@ BM_Im2col(benchmark::State &state)
     Rng rng(5);
     for (float &v : in.data())
         v = float(rng.uniform(0, 1));
-    int gm, gk, gn;
-    spec.gemmDims(gm, gk, gn);
-    std::vector<float> out(size_t(gm) * gk);
+    int64_t bytes = 0;
     for (auto _ : state) {
-        dnn::im2colInto(spec, in, out.data());
+        std::vector<float> out = dnn::im2col(spec, in);
         benchmark::DoNotOptimize(out.data());
+        bytes = int64_t(out.size() * sizeof(float));
     }
-    state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(out.size() * sizeof(float)));
+    state.SetBytesProcessed(int64_t(state.iterations()) * bytes);
 }
 BENCHMARK(BM_Im2col);
-
-static void
-BM_ForwardWorkspace(benchmark::State &state)
-{
-    const int depth = int(state.range(0));
-    std::shared_ptr<const dnn::Model> m = dnn::sharedResNet(depth);
-    std::shared_ptr<const dnn::Weights> w = dnn::sharedWeights(depth, 7);
-    std::shared_ptr<const dnn::PackedWeights> pw =
-        dnn::sharedPackedWeights(depth, 7);
-    dnn::Tensor in(1, dnn::kDnnInputH, dnn::kDnnInputW);
-    Rng rng(9);
-    for (float &v : in.data())
-        v = float(rng.uniform(0, 1));
-    dnn::ForwardWorkspace ws;
-    dnn::ForwardResult out;
-    dnn::runForward(*m, *w, *pw, in, ws, out); // warm the buffers
-    for (auto _ : state) {
-        dnn::runForward(*m, *w, *pw, in, ws, out);
-        benchmark::DoNotOptimize(out.angularProbs.data());
-    }
-}
-BENCHMARK(BM_ForwardWorkspace)->Arg(6)->Arg(14);
 
 static void
 BM_GemminiTilingModel(benchmark::State &state)
@@ -352,375 +266,4 @@ BM_CosimPeriod(benchmark::State &state)
 }
 BENCHMARK(BM_CosimPeriod)->Arg(10)->Arg(100);
 
-// --------------------------------------------------------------------
-// Hot-path perf report (--hotpath): times the blocked GEMM microkernel
-// against the naive reference on every distinct GEMM shape of the
-// ResNet mission models, the cached-vs-fresh sensor/estimator paths,
-// and the steady-state per-frame E2E latency; verifies the
-// zero-allocation contract; emits BENCH_hotpath.json. With --baseline
-// FILE it fails (exit 1) when any tracked latency regresses by more
-// than 2x against the recorded values — the CI perf-smoke gate.
-// --write-baseline FILE records the current machine's numbers.
-
-namespace hotpath {
-
-struct ShapeResult
-{
-    std::string layer;
-    bool conv = false;
-    int m = 0, k = 0, n = 0;
-    double naiveNs = 0.0;
-    double blockedNs = 0.0; ///< blocked kernel, scalar tier
-    double simdNs = 0.0;    ///< blocked kernel, dispatched tier
-
-    double speedup() const
-    { return blockedNs > 0 ? naiveNs / blockedNs : 0.0; }
-    double simdSpeedup() const
-    { return simdNs > 0 ? blockedNs / simdNs : 0.0; }
-    double gflops() const
-    {
-        return simdNs > 0
-                   ? 2.0 * m * k * n / simdNs
-                   : 0.0;
-    }
-};
-
-double
-nowNs()
-{
-    return double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now()
-                          .time_since_epoch())
-                      .count());
-}
-
-/** Best-of-reps wall time of one call, in ns: back-to-back comparisons
- *  within one process are what make the naive/blocked ratio robust on
- *  shared machines. */
-template <typename F>
-double
-timeKernel(F &&fn, double targetNs = 3e7, int reps = 5)
-{
-    fn(); // warm caches / first-touch
-    double t0 = nowNs();
-    fn();
-    double once = std::max(nowNs() - t0, 50.0);
-    int iters = std::max(1, int(targetNs / once));
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        double s = nowNs();
-        for (int i = 0; i < iters; ++i)
-            fn();
-        best = std::min(best, (nowNs() - s) / iters);
-    }
-    return best;
-}
-
-std::map<std::string, double>
-loadBaseline(const std::string &path)
-{
-    std::map<std::string, double> base;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream row(line);
-        std::string key;
-        double value = 0.0;
-        if (row >> key >> value)
-            base[key] = value;
-    }
-    return base;
-}
-
-int
-run(const std::string &jsonPath, const std::string &baselinePath,
-    const std::string &writeBaselinePath)
-{
-    Rng rng(1234);
-    gemmini::Gemmini gem;
-
-    // Every distinct GEMM shape of the mission models (the dynamic
-    // runtime's big/small pair), measured on dense random operands.
-    std::vector<ShapeResult> shapes;
-    for (int depth : {6, 14}) {
-        dnn::Model model = dnn::makeResNet(depth);
-        for (const dnn::LayerSpec &l : model.layers) {
-            if (!l.weighted())
-                continue;
-            int m, k, n;
-            l.gemmDims(m, k, n);
-            bool seen = false;
-            for (const ShapeResult &s : shapes)
-                seen |= s.m == m && s.k == k && s.n == n;
-            if (seen)
-                continue;
-            ShapeResult s;
-            s.layer = model.name + "." + l.name;
-            s.conv = l.kind == dnn::LayerKind::Conv;
-            s.m = m;
-            s.k = k;
-            s.n = n;
-            shapes.push_back(s);
-        }
-    }
-
-    const gemmini::GemmIsa isa = gemmini::activeGemmIsa();
-    const char *isaName = gemmini::gemmIsaName(isa);
-    std::printf("hot-path GEMM: blocked microkernel (scalar and "
-                "dispatched '%s' tiers) vs naive reference (dense "
-                "operands)\n\n",
-                isaName);
-    std::printf("%-22s %-16s %12s %12s %12s %9s %8s\n", "layer",
-                "m*k*n", "naive[ns]", "scalar[ns]", "simd[ns]",
-                "simd-up", "GFLOP/s");
-    for (ShapeResult &s : shapes) {
-        std::vector<float> a(size_t(s.m) * s.k), b(size_t(s.k) * s.n),
-            c(size_t(s.m) * s.n);
-        for (float &v : a)
-            v = float(rng.uniform(-1, 1));
-        for (float &v : b)
-            v = float(rng.uniform(-1, 1));
-        gemmini::PackedB pb;
-        gemmini::Gemmini::packB(s.k, s.n, b.data(), pb);
-        s.naiveNs = timeKernel([&] {
-            gem.matmulNaive(s.m, s.k, s.n, a.data(), b.data(),
-                            c.data());
-        });
-        gemmini::setGemmIsa(gemmini::GemmIsa::Scalar);
-        s.blockedNs = timeKernel(
-            [&] { gem.matmulPacked(s.m, a.data(), pb, c.data()); });
-        gemmini::setGemmIsa(isa);
-        s.simdNs = timeKernel(
-            [&] { gem.matmulPacked(s.m, a.data(), pb, c.data()); });
-        char dims[32];
-        std::snprintf(dims, sizeof(dims), "%dx%dx%d", s.m, s.k, s.n);
-        std::printf("%-22s %-16s %12.0f %12.0f %12.0f %8.2fx %8.2f\n",
-                    s.layer.c_str(), dims, s.naiveNs, s.blockedNs,
-                    s.simdNs, s.simdSpeedup(), s.gflops());
-    }
-
-    // Per-frame E2E: sensor rendering + pose estimation + the full
-    // functional forward pass, classic (allocating) path vs hot path.
-    env::TunnelWorld world;
-    env::Drone drone;
-    drone.setPose({10, 0.3, 1.5}, Quat::fromEuler(0, 0, 0.1));
-    env::Camera cam(env::CameraConfig{}, Rng(1));
-    dnn::EstimatorConfig ecfg;
-    const int depth = 14;
-    std::shared_ptr<const dnn::Model> model = dnn::sharedResNet(depth);
-    std::shared_ptr<const dnn::Weights> w = dnn::sharedWeights(depth, 7);
-    std::shared_ptr<const dnn::PackedWeights> pw =
-        dnn::sharedPackedWeights(depth, 7);
-    dnn::Tensor in(1, dnn::kDnnInputH, dnn::kDnnInputW);
-    Rng irng(9);
-    for (float &v : in.data())
-        v = float(irng.uniform(0, 1));
-
-    auto classicFrame = [&] {
-        env::Image img =
-            cam.render(world, drone.position(), drone.attitude());
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg);
-        benchmark::DoNotOptimize(est.headingRad);
-        dnn::ForwardResult r =
-            dnn::runForward(*model, *w, in, /*use_gemm=*/true);
-        benchmark::DoNotOptimize(r.angularProbs.data());
-    };
-    env::Image img;
-    dnn::PoseScratch scratch;
-    dnn::ForwardWorkspace ws;
-    dnn::ForwardResult fr;
-    auto hotFrame = [&] {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg, scratch);
-        benchmark::DoNotOptimize(est.headingRad);
-        dnn::runForward(*model, *w, *pw, in, ws, fr);
-        benchmark::DoNotOptimize(fr.angularProbs.data());
-    };
-
-    // Interleave the two variants rep by rep (best-of across reps):
-    // frame-scale work on a shared machine drifts over seconds, and
-    // back-to-back pairs cancel that drift out of the ratio.
-    classicFrame();
-    hotFrame();
-    double classicNs = 1e300, hotNs = 1e300;
-    for (int rep = 0; rep < 9; ++rep) {
-        double s = nowNs();
-        for (int i = 0; i < 3; ++i)
-            classicFrame();
-        classicNs = std::min(classicNs, (nowNs() - s) / 3);
-        s = nowNs();
-        for (int i = 0; i < 3; ++i)
-            hotFrame();
-        hotNs = std::min(hotNs, (nowNs() - s) / 3);
-    }
-
-    // Zero-allocation contract of the steady-state frame.
-    uint64_t allocsBefore = g_allocCount.load();
-    for (int i = 0; i < 10; ++i) {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
-        dnn::estimatePose(img, ecfg, scratch);
-        dnn::runForward(*model, *w, *pw, in, ws, fr);
-    }
-    uint64_t allocsPerTenFrames = g_allocCount.load() - allocsBefore;
-
-    std::printf("\nper-frame E2E (render + pose + ResNet%d forward):\n"
-                "  classic %8.0f ns/frame\n"
-                "  hotpath %8.0f ns/frame  (%.2fx, %llu allocs per 10 "
-                "steady frames)\n",
-                depth, classicNs, hotNs, classicNs / hotNs,
-                (unsigned long long)allocsPerTenFrames);
-
-    // Per-stage breakdown of the hot frame, plus the bridge's image
-    // codec (the wire hop a co-simulated frame also pays). Stages are
-    // timed in isolation, so their sum can differ slightly from the
-    // E2E number above.
-    double renderNs = timeKernel([&] {
-        cam.renderInto(world, drone.position(), drone.attitude(), img);
-    });
-    double poseNs = timeKernel([&] {
-        dnn::PoseEstimate est = dnn::estimatePose(img, ecfg, scratch);
-        benchmark::DoNotOptimize(est.headingRad);
-    });
-    double forwardNs = timeKernel(
-        [&] { dnn::runForward(*model, *w, *pw, in, ws, fr); });
-    double decodeNs = timeKernel([&] {
-        bridge::Packet p = bridge::encodeImageResp(img);
-        env::Image rt = bridge::decodeImageResp(p);
-        benchmark::DoNotOptimize(rt.pixels.data());
-    });
-
-    std::printf("\nhot-frame stage breakdown (gemm_isa=%s):\n"
-                "  render  %8.0f ns\n"
-                "  pose    %8.0f ns\n"
-                "  forward %8.0f ns\n"
-                "  decode  %8.0f ns (image codec round trip)\n",
-                isaName, renderNs, poseNs, forwardNs, decodeNs);
-
-    // ---- JSON report ----
-    if (!jsonPath.empty()) {
-        std::ofstream js(jsonPath);
-        js << "{\n  \"report\": \"hotpath\",\n  \"gemm_isa\": \""
-           << isaName << "\",\n  \"gemm\": [\n";
-        for (size_t i = 0; i < shapes.size(); ++i) {
-            const ShapeResult &s = shapes[i];
-            js << "    {\"layer\": \"" << s.layer << "\", \"kind\": \""
-               << (s.conv ? "conv" : "dense") << "\", \"m\": " << s.m
-               << ", \"k\": " << s.k << ", \"n\": " << s.n
-               << ", \"naive_ns\": " << s.naiveNs
-               << ", \"blocked_ns\": " << s.blockedNs
-               << ", \"simd_ns\": " << s.simdNs
-               << ", \"speedup\": " << s.speedup()
-               << ", \"simd_speedup\": " << s.simdSpeedup()
-               << ", \"gflops\": " << s.gflops() << "}"
-               << (i + 1 < shapes.size() ? "," : "") << "\n";
-        }
-        js << "  ],\n";
-        js << "  \"frame_classic_ns\": " << classicNs << ",\n";
-        js << "  \"frame_hotpath_ns\": " << hotNs << ",\n";
-        js << "  \"frame_speedup\": " << classicNs / hotNs << ",\n";
-        js << "  \"frame_stages\": {\n";
-        js << "    \"render_ns\": " << renderNs << ",\n";
-        js << "    \"pose_ns\": " << poseNs << ",\n";
-        js << "    \"forward_ns\": " << forwardNs << ",\n";
-        js << "    \"decode_ns\": " << decodeNs << "\n  },\n";
-        js << "  \"steady_allocs_per_10_frames\": "
-           << allocsPerTenFrames << "\n}\n";
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-
-    // ---- baseline bookkeeping ----
-    std::map<std::string, double> current;
-    for (const ShapeResult &s : shapes) {
-        std::string shape = std::to_string(s.m) + "x" +
-                            std::to_string(s.k) + "x" +
-                            std::to_string(s.n);
-        current["gemm_" + shape + "_blocked_ns"] = s.blockedNs;
-        current["gemm_" + shape + "_simd_ns"] = s.simdNs;
-    }
-    current["frame_hotpath_ns"] = hotNs;
-    current["frame_render_ns"] = renderNs;
-    current["frame_pose_ns"] = poseNs;
-    current["frame_forward_ns"] = forwardNs;
-    current["frame_decode_ns"] = decodeNs;
-
-    if (!writeBaselinePath.empty()) {
-        std::ofstream out(writeBaselinePath);
-        out << "# hot-path perf baseline: <metric> <ns>. Regenerate "
-               "with\n# bench_microbench --hotpath --write-baseline "
-               "<file>.\n";
-        for (const auto &kv : current)
-            out << kv.first << " " << kv.second << "\n";
-        std::printf("wrote baseline %s\n", writeBaselinePath.c_str());
-    }
-
-    int failures = 0;
-    if (!baselinePath.empty()) {
-        std::map<std::string, double> base = loadBaseline(baselinePath);
-        for (const auto &kv : base) {
-            auto it = current.find(kv.first);
-            if (it == current.end())
-                continue; // metric no longer produced: not a regression
-            if (it->second > 2.0 * kv.second) {
-                std::printf("PERF REGRESSION: %s = %.0f ns, baseline "
-                            "%.0f ns (>2x)\n",
-                            kv.first.c_str(), it->second, kv.second);
-                ++failures;
-            }
-        }
-        if (!failures)
-            std::printf("perf-smoke: all %zu tracked metrics within "
-                        "2x of baseline\n",
-                        base.size());
-    }
-    return failures ? 1 : 0;
-}
-
-} // namespace hotpath
-
-int
-main(int argc, char **argv)
-{
-    // The hot-path report has its own flags; strip them before (or
-    // instead of) handing control to google-benchmark.
-    bool doHotpath = false;
-    std::string jsonPath = "BENCH_hotpath.json";
-    std::string baselinePath, writeBaselinePath;
-    std::vector<char *> passthrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&](const char *flag) -> bool {
-            size_t n = std::strlen(flag);
-            if (arg.compare(0, n, flag) == 0 && arg[n] == '=')
-                return true;
-            return false;
-        };
-        if (arg == "--hotpath") {
-            doHotpath = true;
-        } else if (value("--hotpath")) {
-            doHotpath = true;
-            jsonPath = arg.substr(std::strlen("--hotpath") + 1);
-        } else if (value("--baseline")) {
-            doHotpath = true;
-            baselinePath = arg.substr(std::strlen("--baseline") + 1);
-        } else if (value("--write-baseline")) {
-            doHotpath = true;
-            writeBaselinePath =
-                arg.substr(std::strlen("--write-baseline") + 1);
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-    if (doHotpath)
-        return hotpath::run(jsonPath, baselinePath, writeBaselinePath);
-
-    int pargc = int(passthrough.size());
-    benchmark::Initialize(&pargc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(pargc,
-                                               passthrough.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the default (RelWithDebInfo) tree, the
-# ASan+UBSan tree, and the threaded tests under TSan. The ASan pass is
+# ASan+UBSan tree, and the threaded tests under TSan, then run a short
+# mission-path smoke of every benchmark workload. The ASan pass is
 # what keeps the wire-framing and transport robustness tests honest — a
 # buffer overread or UB in the decode path fails the build here even
 # when the plain run passes.
@@ -37,10 +38,11 @@ run_preset() {
     "$builddir/tests/test_supervisor" \
         --gtest_filter='BatchIsolation.*:Supervisor.RecoversMissionThatAbortsUnsupervised'
 
-    # Hot-path engine: blocked-GEMM bit-identity, zero-steady-state
-    # allocation, cached sensor/pose paths. The allocation-counting
-    # assertions skip themselves under the sanitizer preset.
-    echo "==== [$preset] hot-path bit-identity + zero-alloc ===="
+    # Per-frame mission path: cached camera render and pose scratch
+    # stay bit-identical to the fresh paths, and the pose scratch
+    # allocates nothing in steady state. The allocation-counting
+    # assertion skips itself under the sanitizer preset.
+    echo "==== [$preset] frame-path bit-identity + zero-alloc ===="
     "$builddir/tests/test_hotpath"
 
     # Serve smoke: boot rosed on an ephemeral port, submit the golden
@@ -102,23 +104,14 @@ cmake --build --preset tsan -j "$jobs" \
 echo "==== [tsan] test ===="
 ctest --preset tsan
 
-# ISA-dispatch parity gate: the whole suite must also pass with the
-# GEMM dispatcher pinned to the scalar kernel (ROSE_GEMM_ISA=scalar).
-# The plain ctest above ran under auto — the best bit-exact SIMD tier
-# the host supports — so together the two passes prove the golden
-# hashes and every bit-identity contract hold on BOTH sides of the
-# dispatch. (avx2fma is never forced here: it is opt-in precisely
-# because it is not bit-identical.)
-echo "==== [default] scalar-forced ctest (dispatch parity) ===="
-ROSE_GEMM_ISA=scalar ctest --preset default
+# Mission-path smoke: every benchmark workload runs real missions for
+# a few seconds. perfbench/run.py exits 1 on any failed mission or a
+# sim_digest that does not repeat across rounds and processes, so this
+# is a correctness gate on the mission path, not a timing gate.
+for workload in sshape-inproc tunnel-tcp-sync2m serve-short; do
+    echo "==== [perfbench] mission-path smoke: $workload ===="
+    python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 3 --trace 0
+done
 
-# Perf smoke (default preset only): re-measure the hot-path kernels —
-# scalar and SIMD GEMM tiers plus the per-stage frame breakdown — and
-# fail on a >2x latency regression against the recorded baseline.
-# Refresh the baseline with:
-#   build/bench/bench_microbench --hotpath --write-baseline=ci/perf_baseline.txt
-echo "==== [default] perf-smoke (hot-path regression gate) ===="
-build/bench/bench_microbench --hotpath=BENCH_hotpath.json \
-    --baseline=ci/perf_baseline.txt
-
-echo "==== all presets passed ===="
+echo "==== all stages passed ===="

@@ -32,28 +32,12 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
-    core::BatchCli cli = core::parseBatchCli(argc, argv);
+    core::BatchCli cli =
+        core::parseSweepCli(argc, argv, "[world] [velocity]", 2);
+    std::vector<std::string> args(argv + 1, argv + argc);
     const char *usage =
         "usage: design_space_exploration [--jobs N] [--batch-json PATH] "
         "[world] [velocity]\n";
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            std::fputs(usage, stdout);
-            return 0;
-        }
-        if (arg.starts_with("-")) {
-            std::fprintf(stderr, "unknown option: %s\n%s", arg.c_str(),
-                         usage);
-            return 2;
-        }
-        args.push_back(arg);
-    }
-    if (args.size() > 2) {
-        std::fprintf(stderr, "too many arguments\n%s", usage);
-        return 2;
-    }
     std::string world = args.size() > 0 ? args[0] : "s-shape";
     double velocity = 9.0;
     if (args.size() > 1) {
@@ -87,9 +71,6 @@ main(int argc, char **argv)
 
     core::BatchRunner runner(cli.options());
     std::vector<core::MissionResult> results = runner.run(specs);
-    size_t failed = 0;
-    for (const core::MissionResult &r : results)
-        failed += r.status == core::MissionStatus::Crashed;
 
     for (size_t i = 0; i < specs.size(); ++i) {
         const core::MissionSpec &spec = specs[i];
@@ -119,11 +100,7 @@ main(int argc, char **argv)
                  bs.missions, bs.wallSeconds, bs.serialSeconds,
                  bs.speedup(), cli.jobs);
 
-    if (failed > 0) {
-        std::fprintf(stderr, "%zu of %zu batch slots failed\n", failed,
-                     results.size());
-        return 1;
-    }
+    core::exitIfSweepFailed(results);
 
     core::BatchReport report("design_space_exploration");
     report.add(world + "_soc_x_zoo", bs);

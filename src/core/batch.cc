@@ -1,6 +1,7 @@
 #include "batch.hh"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -89,6 +90,48 @@ parseBatchCli(int &argc, char **argv)
     }
     argc = out;
     return cli;
+}
+
+BatchCli
+parseSweepCli(int &argc, char **argv, const char *positionals_usage,
+              int max_positionals)
+{
+    BatchCli cli = parseBatchCli(argc, argv);
+    const std::string usage =
+        std::string("usage: ") + argv[0] +
+        " [--jobs N] [--batch-json PATH]" +
+        (*positionals_usage ? " " : "") + positionals_usage + "\n";
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "-h" || arg == "--help") {
+            std::fputs(usage.c_str(), stdout);
+            std::exit(0);
+        }
+        if (arg.starts_with("-")) {
+            std::fprintf(stderr, "unknown option: %s\n%s", arg.c_str(),
+                         usage.c_str());
+            std::exit(2);
+        }
+    }
+    if (argc - 1 > max_positionals) {
+        std::fprintf(stderr, "unexpected argument: %s\n%s",
+                     argv[max_positionals + 1], usage.c_str());
+        std::exit(2);
+    }
+    return cli;
+}
+
+void
+exitIfSweepFailed(const std::vector<MissionResult> &results)
+{
+    size_t failed = 0;
+    for (const MissionResult &r : results)
+        failed += r.status == MissionStatus::Crashed;
+    if (failed == 0)
+        return;
+    std::fprintf(stderr, "%zu of %zu batch slots failed\n", failed,
+                 results.size());
+    std::exit(1);
 }
 
 // ------------------------------------------------------------ BatchReport

@@ -166,6 +166,27 @@ struct BatchCli
 BatchCli parseBatchCli(int &argc, char **argv);
 
 /**
+ * Front end of every sweep program: parseBatchCli plus the exit-code
+ * contract. -h/--help prints the usage line to stdout and exits 0; an
+ * unknown option, or more than @p max_positionals positional
+ * arguments, prints it to stderr and exits 2 before any mission runs.
+ * The accepted positionals stay in argv[1..argc).
+ *
+ * @param positionals_usage usage text of the positionals ("" = none).
+ */
+BatchCli parseSweepCli(int &argc, char **argv,
+                       const char *positionals_usage = "",
+                       int max_positionals = 0);
+
+/**
+ * Failed-slot check of a sweep: when any mission in @p results
+ * crashed, prints "N of M batch slots failed" to stderr and exits 1
+ * (the mission layer has already logged each slot's reason). Call it before writing the batch report, so a
+ * failed sweep never overwrites the last good one.
+ */
+void exitIfSweepFailed(const std::vector<MissionResult> &results);
+
+/**
  * Machine-readable perf trajectory of a bench run. Each converted
  * sweep bench records the batches it executed and writes one JSON
  * document (overwriting: the file describes the last run):

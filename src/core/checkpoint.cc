@@ -150,7 +150,14 @@ readCheckpointFile(const std::string &path)
         ck.simTime = r.f64();
         ck.configFingerprint = r.u64();
         ck.stateHash = r.u64();
+        // Bound the length by the bytes actually present before
+        // allocating: a corrupt length must not reserve gigabytes.
         uint32_t n = r.u32();
+        if (n > r.remaining())
+            throw SerdeError("state length " + std::to_string(n) +
+                             " exceeds the " +
+                             std::to_string(r.remaining()) +
+                             " bytes left in the file");
         ck.state.resize(n);
         if (n)
             r.bytes(ck.state.data(), n);

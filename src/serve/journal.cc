@@ -238,6 +238,7 @@ JobJournal::replayBytes(const std::vector<uint8_t> &bytes,
         // (start fresh); anything else is not our file.
         if (std::memcmp(bytes.data(), want.data(), bytes.size()) != 0)
             throw JournalError("journal header is not ROSEJRNL");
+        rep.truncatedBytes = bytes.size();
         rep.recoveredFromCorruption = true;
         return rep;
     }

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -255,6 +256,78 @@ TEST(Batch, CliEqualsForms)
     EXPECT_EQ(cli.jobs, 3);
     EXPECT_EQ(cli.jsonPath, "");
     EXPECT_EQ(argc, 1);
+}
+
+namespace {
+
+/** argv for the sweep front end; the strings outlive the call. */
+struct Argv
+{
+    std::vector<std::string> args;
+    std::vector<char *> ptrs;
+
+    explicit Argv(std::vector<std::string> a) : args(std::move(a))
+    {
+        for (std::string &s : args)
+            ptrs.push_back(s.data());
+    }
+    int argc() const { return int(ptrs.size()); }
+};
+
+} // namespace
+
+TEST(Batch, SweepCliKeepsAllowedPositionals)
+{
+    Argv a({"sweep", "--jobs=2", "tunnel", "--batch-json=", "3.5"});
+    int argc = a.argc();
+    core::BatchCli cli =
+        core::parseSweepCli(argc, a.ptrs.data(), "[world] [v]", 2);
+    EXPECT_EQ(cli.jobs, 2);
+    EXPECT_EQ(cli.jsonPath, "");
+    ASSERT_EQ(argc, 3);
+    EXPECT_STREQ(a.ptrs[1], "tunnel");
+    EXPECT_STREQ(a.ptrs[2], "3.5");
+}
+
+TEST(BatchDeathTest, SweepCliExitCodes)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto parse = [](std::vector<std::string> args, int max_positionals) {
+        Argv a(std::move(args));
+        int argc = a.argc();
+        core::parseSweepCli(argc, a.ptrs.data(), "", max_positionals);
+    };
+    EXPECT_EXIT(parse({"sweep", "--typo"}, 0),
+                ::testing::ExitedWithCode(2), "unknown option: --typo");
+    EXPECT_EXIT(parse({"sweep", "-j", "2", "-x"}, 1),
+                ::testing::ExitedWithCode(2), "unknown option: -x");
+    EXPECT_EXIT(parse({"sweep", "stray"}, 0),
+                ::testing::ExitedWithCode(2),
+                "unexpected argument: stray");
+    EXPECT_EXIT(parse({"sweep", "a", "b"}, 1),
+                ::testing::ExitedWithCode(2), "unexpected argument: b");
+    EXPECT_EXIT(parse({"sweep", "--help"}, 0),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(BatchDeathTest, FailedSlotExitsOneBeforeTheReport)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    core::MissionSpec good;
+    good.world = "tunnel";
+    good.maxSimSeconds = 0.5;
+    core::MissionSpec bad = good;
+    bad.world = "no-such-world";
+    std::vector<core::MissionResult> results =
+        core::runMissionBatch({good, bad, good}, 2);
+    ASSERT_NE(results[0].status, core::MissionStatus::Crashed);
+    ASSERT_EQ(results[1].status, core::MissionStatus::Crashed);
+
+    // A clean sweep passes through.
+    core::exitIfSweepFailed({results[0], results[2]});
+    EXPECT_EXIT(core::exitIfSweepFailed(results),
+                ::testing::ExitedWithCode(1),
+                "1 of 3 batch slots failed");
 }
 
 TEST(Batch, ReportJsonShape)

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "env/envsim.hh"
 #include "env/vehicle.hh"
 #include "util/hash.hh"
+#include "util/rng.hh"
 #include "util/serde.hh"
 
 using namespace rose;
@@ -379,6 +381,89 @@ TEST(CheckpointFile, DetectsCorruptionAndTruncation)
 
     EXPECT_THROW(readCheckpointFile(path + ".does-not-exist"),
                  CheckpointError);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, DecodeFuzzEndsInCleanError)
+{
+    // Seeded random bytes, truncations and bit flips of a valid
+    // checkpoint file. File layout: magic[0,8) version[8,12)
+    // period[12,20) simTime[20,28) fingerprint[28,36) hash[36,44)
+    // length[44,48) state[48,...). Only period, simTime and the
+    // fingerprint are outside the integrity checks (restore vets the
+    // fingerprint), so a flip anywhere else must be a CheckpointError;
+    // so must every truncation and every random file.
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 5; ++i)
+        sim.stepPeriod();
+    const Checkpoint ck = sim.checkpoint();
+    const std::string path = ::testing::TempDir() + "rose_ckpt_fuzz.bin";
+    writeCheckpointFile(path, ck);
+    std::vector<uint8_t> valid;
+    {
+        std::ifstream in(path, std::ios::binary);
+        valid.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(valid.size(), 48 + ck.state.size());
+
+    auto decode = [&path](const std::vector<uint8_t> &bytes) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(bytes.data()),
+                      std::streamsize(bytes.size()));
+        }
+        return readCheckpointFile(path);
+    };
+
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0xd1342543de82ef95ULL);
+
+        // Random bytes, behind a valid magic + version on odd seeds,
+        // with a length field that sometimes claims far more state
+        // than the file holds.
+        std::vector<uint8_t> noise;
+        if (seed % 2)
+            noise.assign(valid.begin(), valid.begin() + 12);
+        for (uint64_t n = rng.uniformInt(96); n > 0; --n)
+            noise.push_back(uint8_t(rng.uniformInt(256)));
+        if (noise.size() >= 48 && seed % 4 == 1)
+            std::memset(noise.data() + 44, 0xff, 4);
+        EXPECT_THROW(decode(noise), CheckpointError);
+
+        // Truncation.
+        std::vector<uint8_t> cut(
+            valid.begin(), valid.begin() + rng.uniformInt(valid.size()));
+        EXPECT_THROW(decode(cut), CheckpointError);
+
+        // 1-4 bit flips at distinct bytes; every fourth seed keeps
+        // them inside the unchecked header fields.
+        std::vector<uint8_t> flipped = valid;
+        std::set<size_t> at;
+        for (uint64_t f = 1 + rng.uniformInt(4); f > 0; --f)
+            at.insert(seed % 4 == 0 ? 12 + rng.uniformInt(24)
+                                    : rng.uniformInt(valid.size()));
+        bool checked = false;
+        for (size_t i : at) {
+            flipped[i] ^= uint8_t(1u << rng.uniformInt(8));
+            checked |= i < 12 || i >= 36;
+        }
+        if (checked) {
+            EXPECT_THROW(decode(flipped), CheckpointError);
+            continue;
+        }
+        Checkpoint back = decode(flipped);
+        EXPECT_EQ(back.state, ck.state);
+        CoSimulation target(cfg);
+        if (back.configFingerprint == ck.configFingerprint) {
+            target.restore(back);
+            EXPECT_EQ(target.periods(), 5u);
+        } else {
+            EXPECT_THROW(target.restore(back), CheckpointError);
+        }
+    }
     std::remove(path.c_str());
 }
 

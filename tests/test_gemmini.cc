@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "gemmini/gemmini.hh"
-#include "util/rng.hh"
 
 using namespace rose;
 using namespace rose::gemmini;
@@ -93,29 +92,6 @@ TEST(Gemmini, FunctionalMatmulCorrect)
     EXPECT_FLOAT_EQ(c[1], 64.0f);  // 1*8+2*10+3*12
     EXPECT_FLOAT_EQ(c[2], 139.0f);
     EXPECT_FLOAT_EQ(c[3], 154.0f);
-}
-
-TEST(Gemmini, FunctionalMatchesNaive)
-{
-    Gemmini g;
-    Rng rng(5);
-    int m = 17, k = 23, n = 9;
-    std::vector<float> a(size_t(m) * k), b(size_t(k) * n);
-    for (float &v : a)
-        v = float(rng.uniform(-1, 1));
-    for (float &v : b)
-        v = float(rng.uniform(-1, 1));
-    std::vector<float> c;
-    g.matmul(m, k, n, a, b, c);
-    for (int i = 0; i < m; ++i) {
-        for (int j = 0; j < n; ++j) {
-            double ref = 0;
-            for (int kk = 0; kk < k; ++kk)
-                ref += double(a[size_t(i) * k + kk]) *
-                       double(b[size_t(kk) * n + j]);
-            EXPECT_NEAR(c[size_t(i) * n + j], ref, 1e-4);
-        }
-    }
 }
 
 // Property sweep: for every shape, invariants of the cost model hold.

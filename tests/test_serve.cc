@@ -485,6 +485,70 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
     EXPECT_THROW(encodeTrajectoryBinary(overflow), ProtocolError);
 }
 
+TEST(ServeProto, BinaryTrajectoryDecodeFuzz)
+{
+    // Seeded adversarial payloads for decodeTrajectoryBinary: random
+    // bytes, truncations and bit flips of valid encodings. A payload
+    // that is not a whole number of records is a ProtocolError;
+    // anything else decodes one sample per record, and records the
+    // mutation did not touch decode exactly as before.
+    const size_t rec = kTrajectoryBinaryRecordBytes;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+        std::vector<uint8_t> valid = encodeTrajectoryBinary(
+            randomSamples(rng, 1 + rng.uniformInt(40)));
+        std::vector<core::TrajectorySample> original =
+            decodeTrajectoryBinary(valid.data(), valid.size());
+
+        auto check = [&](const std::vector<uint8_t> &wire,
+                         const std::vector<bool> &touched) {
+            if (wire.size() % rec != 0) {
+                EXPECT_THROW(
+                    decodeTrajectoryBinary(wire.data(), wire.size()),
+                    ProtocolError);
+                return;
+            }
+            std::vector<core::TrajectorySample> got;
+            ASSERT_NO_THROW(
+                got = decodeTrajectoryBinary(wire.data(), wire.size()));
+            ASSERT_EQ(got.size(), wire.size() / rec);
+            std::vector<core::TrajectorySample> kept, want;
+            for (size_t i = 0; i < got.size() && i < touched.size();
+                 ++i) {
+                if (touched[i])
+                    continue;
+                kept.push_back(got[i]);
+                want.push_back(original[i]);
+            }
+            EXPECT_EQ(core::trajectoryCsvString(kept),
+                      core::trajectoryCsvString(want));
+        };
+
+        // Random bytes: whole records on even seeds.
+        std::vector<uint8_t> noise(seed % 2 ? rng.uniformInt(8 * rec)
+                                            : rec * rng.uniformInt(8));
+        for (uint8_t &b : noise)
+            b = uint8_t(rng.uniformInt(256));
+        check(noise, {});
+
+        // Truncation: the surviving whole records are untouched.
+        std::vector<uint8_t> cut(
+            valid.begin(), valid.begin() + rng.uniformInt(valid.size()));
+        check(cut, std::vector<bool>(original.size(), false));
+
+        // 1-8 bit flips.
+        std::vector<uint8_t> flipped = valid;
+        std::vector<bool> touched(original.size(), false);
+        for (uint64_t f = 1 + rng.uniformInt(8); f > 0; --f) {
+            size_t at = rng.uniformInt(flipped.size());
+            flipped[at] ^= uint8_t(1u << rng.uniformInt(8));
+            touched[at / rec] = true;
+        }
+        check(flipped, touched);
+    }
+}
+
 TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
 {
     // CSV payload sliced at an awkward chunk size (not a divisor).
