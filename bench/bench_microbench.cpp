@@ -48,11 +48,13 @@ BM_WireFraming(benchmark::State &state)
 {
     bridge::Packet p = bridge::encodeVelocityCmd({1.0, 2.0, 3.0});
     std::vector<uint8_t> buf;
+    bridge::FrameBuffer frames;
+    bridge::Packet out;
     for (auto _ : state) {
         buf.clear();
         bridge::serializePacket(p, buf);
-        bridge::Packet out;
-        bridge::deserializePacket(buf, out);
+        frames.append(buf.data(), buf.size());
+        frames.next(out);
         benchmark::DoNotOptimize(out.payload.data());
     }
 }

@@ -66,11 +66,11 @@ run_preset() {
         smoke --clients 4 --missions 8
 
     # Streaming smoke on the same daemon: one mission whose trajectory
-    # CSV exceeds 8 MiB (larger than any single protocol frame, so it
-    # necessarily crosses many ResultChunk frames), fetched in both
-    # CSV and binary encodings and hash-verified against a local run.
-    # Under ASan/UBSan this sweeps the chunked tx path, the binary
-    # quantizer, and the client-side reassembler.
+    # CSV exceeds 8 MiB, fetched once as binary records (many
+    # ResultChunk frames), rendered to the canonical CSV on the client
+    # and hash-verified against a local run. Under ASan/UBSan this
+    # sweeps the chunked tx path, the record codec, and the
+    # client-side reassembler.
     echo "==== [$preset] serve streaming smoke (>8 MiB trajectory) ===="
     "$builddir/src/serve/rose_client" --port "$(cat "$portfile")" \
         stream-smoke 2> /dev/null
@@ -82,8 +82,9 @@ run_preset() {
     # Chaos smoke: SIGKILL a journaled rosed mid-mission, restart it
     # on the same journal directory, and require idempotent-resubmit
     # dedup plus golden-hash parity of the recovered result. This is
-    # the crash-safety acceptance gate, run under both presets so the
-    # sanitizers sweep the journal replay and recovery paths too.
+    # the crash-safety acceptance gate, run under both presets (and
+    # under TSan below) so the sanitizers sweep the journal replay and
+    # recovery paths too.
     echo "==== [$preset] chaos smoke (SIGKILL + journal recovery) ===="
     ci/chaos_smoke.sh "$builddir/src/serve/rose_client" \
         "$builddir/src/serve/rosed"
@@ -96,13 +97,17 @@ run_preset asan build-asan
 # one immutable sharedWorld (so World::raycast must stay stateless),
 # supervisor checkpoint/restore threads, and rosed's IO thread, worker
 # pool and pause/drop hooks. The tsan test preset selects test_batch,
-# test_supervisor and test_serve.
+# test_supervisor and test_serve; the chaos smoke then runs a TSan
+# rosed through SIGKILL, journal replay and warm restore.
 echo "==== [tsan] configure + build (threaded tests) ===="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-    --target test_batch test_supervisor test_serve
+    --target test_batch test_supervisor test_serve rosed rose_client
 echo "==== [tsan] test ===="
 ctest --preset tsan
+echo "==== [tsan] chaos smoke (SIGKILL + journal recovery) ===="
+ci/chaos_smoke.sh build-tsan/src/serve/rose_client \
+    build-tsan/src/serve/rosed
 
 # Mission-path smoke: every benchmark workload runs real missions for
 # a few seconds. perfbench/run.py exits 1 on any failed mission or a

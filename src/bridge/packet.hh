@@ -20,35 +20,14 @@
 #define ROSE_BRIDGE_PACKET_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bridge/framing.hh"
 #include "env/sensors.hh"
 #include "util/geometry.hh"
 
-namespace rose {
-class StateWriter;
-class StateReader;
-} // namespace rose
-
 namespace rose::bridge {
-
-/**
- * Thrown when a structurally valid frame carries a semantically
- * malformed payload (truncated fields, inconsistent image dimensions).
- * Such packets can reach the decoders through injected payload
- * corruption even when the wire framing survives; throwing — instead
- * of aborting — lets the mission supervisor treat a poisoned payload
- * like any other recoverable transport fault.
- */
-class PayloadError : public std::runtime_error
-{
-  public:
-    explicit PayloadError(const std::string &what)
-        : std::runtime_error(what)
-    {}
-};
 
 /** Wire identifiers for every packet kind. */
 enum class PacketType : uint8_t
@@ -93,51 +72,18 @@ struct Packet
     PacketType type = PacketType::SyncGrant;
     std::vector<uint8_t> payload;
 
-    /** Header bytes on the wire: 1 type byte + 4 length bytes. */
-    static constexpr size_t kHeaderBytes = 5;
+    static constexpr size_t kHeaderBytes = kFrameHeaderBytes;
+
+    // Framing traits (bridge/framing.hh).
+    static constexpr size_t kMaxPayload = kMaxPayloadBytes;
+    static constexpr const char *kKind = "packet";
+    static bool validType(uint8_t raw) { return isValidPacketType(raw); }
 
     size_t wireSize() const { return kHeaderBytes + payload.size(); }
 };
 
-// --------------------------------------------------------------------
-// Byte-level serialization helpers.
-
-/** Little-endian byte appender. */
-class ByteWriter
-{
-  public:
-    explicit ByteWriter(std::vector<uint8_t> &out) : out_(out) {}
-
-    void u8(uint8_t v) { out_.push_back(v); }
-    void u16(uint16_t v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void f64(double v);
-    void bytes(const uint8_t *data, size_t n);
-
-  private:
-    std::vector<uint8_t> &out_;
-};
-
-/** Little-endian byte consumer; throws PayloadError on underrun. */
-class ByteReader
-{
-  public:
-    explicit ByteReader(const std::vector<uint8_t> &in) : in_(in) {}
-
-    uint8_t u8();
-    uint16_t u16();
-    uint32_t u32();
-    uint64_t u64();
-    double f64();
-    void bytes(uint8_t *data, size_t n);
-
-    size_t remaining() const { return in_.size() - pos_; }
-
-  private:
-    const std::vector<uint8_t> &in_;
-    size_t pos_ = 0;
-};
+/** Receive-side packet accumulator (bridge/framing.hh). */
+using FrameBuffer = FrameDecoder<Packet>;
 
 // --------------------------------------------------------------------
 // Typed payload codecs.
@@ -150,7 +96,12 @@ struct VelocityCmdPayload
     double yawRate = 0.0;
 };
 
-/** Encode/decode helpers; encode produces a full Packet. */
+/**
+ * Encode/decode helpers; encode produces a full Packet. Decoders
+ * throw SerdeError on a payload that is truncated or inconsistent
+ * (fault injection can corrupt a payload that survives framing; the
+ * mission supervisor recovers from it like any transport fault).
+ */
 Packet encodeSyncGrant(uint64_t cycles);
 uint64_t decodeSyncGrant(const Packet &p);
 
@@ -179,75 +130,20 @@ Packet encodeVelocityCmd(const VelocityCmdPayload &v);
 VelocityCmdPayload decodeVelocityCmd(const Packet &p);
 
 /** Serialize a packet (header + payload) onto a byte stream. */
-void serializePacket(const Packet &p, std::vector<uint8_t> &out);
+inline void
+serializePacket(const Packet &p, std::vector<uint8_t> &out)
+{
+    serializeFrame(p, out);
+}
 
 /**
  * Checkpoint-state (de)serialization of a whole packet. Unlike the
  * wire form this is trusted input — it only ever round-trips through
- * StateWriter — but loadPacket still bounds-checks via StateReader.
+ * StateWriter — but loadPacket still bounds the payload length by the
+ * bytes left before allocating.
  */
 void savePacket(StateWriter &w, const Packet &p);
 Packet loadPacket(StateReader &r);
-
-/** Outcome of attempting to decode one frame from a byte stream. */
-enum class FrameStatus : uint8_t
-{
-    Ok,        ///< a complete, valid frame was decoded
-    NeedMore,  ///< the buffer holds only a prefix of a valid frame
-    Malformed, ///< the header is invalid; the stream cannot be trusted
-};
-
-/**
- * Validated frame decoder: parse one packet from the front of a byte
- * range. The header is checked before any payload allocation: an
- * unknown type byte or a length above kMaxPayloadBytes yields
- * Malformed (with a diagnostic in @p error), never an allocation or a
- * wait for bytes that can never legitimately arrive.
- *
- * @param consumed set to the bytes consumed (only nonzero on Ok).
- */
-FrameStatus tryDecodeFrame(const uint8_t *data, size_t size,
-                           size_t &consumed, Packet &out,
-                           std::string *error = nullptr);
-
-/**
- * Receive-side frame accumulator: append raw stream bytes, drain
- * complete packets. Consumption uses a read cursor with amortized
- * compaction, so draining N packets costs O(bytes), not the O(n²) a
- * per-packet vector erase would.
- */
-class FrameBuffer
-{
-  public:
-    void append(const uint8_t *data, size_t n);
-
-    /** Decode the next frame; on Malformed the buffer is poisoned and
-     *  every later call returns Malformed (a byte stream cannot be
-     *  resynchronized once framing is lost). */
-    FrameStatus next(Packet &out, std::string *error = nullptr);
-
-    /** Bytes buffered but not yet decoded. */
-    size_t pendingBytes() const { return buf_.size() - pos_; }
-
-    void clear();
-
-  private:
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;
-    bool poisoned_ = false;
-    std::string poisonError_;
-};
-
-/**
- * Try to deserialize one packet from the front of a byte buffer.
- *
- * Compatibility wrapper over tryDecodeFrame: consumed bytes are erased
- * on success; a malformed header drops the whole buffer with a warning
- * (an untyped byte stream cannot be resynchronized) and returns false.
- *
- * @return true when a complete, valid packet was available.
- */
-bool deserializePacket(std::vector<uint8_t> &buf, Packet &out);
 
 } // namespace rose::bridge
 

@@ -253,12 +253,12 @@ CoSimulation::run()
         transport_error = true;
         failure = e.what();
         rose_warn("mission aborted on transport error: ", e.what());
-    } catch (const bridge::PayloadError &e) {
+    } catch (const SerdeError &e) {
         // A corrupted packet that survived framing but failed payload
         // validation (fault injection without the supervisor).
         crashed = true;
         failure = e.what();
-        rose_warn("mission aborted on payload error: ", e.what());
+        rose_warn("mission aborted on malformed payload: ", e.what());
     } catch (const env::DivergenceError &e) {
         // Non-finite physics state: abort with the diagnostic dump
         // rather than propagating NaNs into the metrics.
@@ -301,6 +301,9 @@ putSection(StateWriter &w, CkptSection tag, Fill &&fill)
     w.u32(uint32_t(body.size()));
     w.bytes(body.data().data(), body.size());
 }
+
+/** Checkpoint bytes per trajectory sample: ten f64 and one u64. */
+constexpr size_t kSampleStateBytes = 11 * 8;
 
 void
 saveSample(StateWriter &w, const TrajectorySample &s)
@@ -432,7 +435,7 @@ CoSimulation::restore(const Checkpoint &ck)
             prevPos_.y = body.f64();
             prevPos_.z = body.f64();
             distance_ = body.f64();
-            uint32_t n = body.u32();
+            uint32_t n = body.count(kSampleStateBytes);
             trajectory_.clear();
             trajectory_.reserve(n);
             for (uint32_t i = 0; i < n; ++i)

@@ -156,8 +156,6 @@ MissionSupervisor::run()
         } catch (const bridge::TransportError &e) {
             transport_failure = true;
             last_failure = std::string("transport error: ") + e.what();
-        } catch (const bridge::PayloadError &e) {
-            last_failure = std::string("payload error: ") + e.what();
         } catch (const env::DivergenceError &e) {
             last_failure = std::string("divergence: ") + e.what();
         } catch (const SerdeError &e) {

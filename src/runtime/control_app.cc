@@ -1,5 +1,8 @@
 #include "control_app.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/logging.hh"
 #include "util/serde.hh"
 
@@ -231,6 +234,9 @@ loadAction(StateReader &r)
     return a;
 }
 
+/** Checkpoint bytes per inference record (saveRecord below). */
+constexpr size_t kRecordStateBytes = 3 * 8 + 4 + 1 + 5 * 8;
+
 void
 saveRecord(StateWriter &w, const InferenceRecord &rec)
 {
@@ -338,9 +344,14 @@ ControlApp::restoreState(StateReader &r)
         queue_.push_back(loadAction(r));
     haveImage_ = r.boolean();
     if (haveImage_) {
-        image_.width = int(r.u32());
-        image_.height = int(r.u32());
-        image_.pixels.resize(size_t(image_.width) * image_.height);
+        // h rows of w f32 pixels must fit in the bytes left.
+        uint32_t w = r.u32();
+        uint32_t h = r.count(sizeof(float) * std::max<size_t>(w, 1));
+        if (w > uint32_t(INT32_MAX))
+            throw SerdeError("checkpointed image width out of range");
+        image_.width = int(w);
+        image_.height = int(h);
+        image_.pixels.resize(size_t(w) * h);
         for (float &v : image_.pixels)
             v = r.f32();
     }
@@ -350,7 +361,7 @@ ControlApp::restoreState(StateReader &r)
     lastOutput_ = loadOutput(r);
     activeDepth_ = int(r.u32());
     records_.clear();
-    uint32_t nr = r.u32();
+    uint32_t nr = r.count(kRecordStateBytes);
     records_.reserve(nr);
     for (uint32_t i = 0; i < nr; ++i)
         records_.push_back(loadRecord(r));

@@ -152,11 +152,11 @@ ServeClient::nextResponse(Clock::time_point deadline)
                 throw TransportError(
                     "server sent a request-type message");
             if (resp.type == MsgType::ErrorReply)
-                throw ProtocolError(decodeErrorReply(resp));
+                throw ProtocolError(decode<ErrorInfo>(resp).what);
             if (resp.type == MsgType::Progress) {
                 // Push frame: not part of request/response pairing.
                 if (progress_)
-                    progress_(decodeProgress(resp));
+                    progress_(decode<ProgressEvent>(resp));
                 continue;
             }
             return resp;
@@ -202,7 +202,7 @@ Message
 ServeClient::request(const Message &req)
 {
     std::vector<uint8_t> wire;
-    serializeMessage(req, wire);
+    bridge::serializeFrame(req, wire);
     sendAll(wire);
     return nextResponse(Clock::now() +
                         std::chrono::milliseconds(timeoutMs_));
@@ -237,18 +237,20 @@ ServeClient::submit(const core::MissionSpec &spec,
     // Keyed submissions are idempotent and therefore retriable; an
     // unkeyed one is not (the retry could double-run), so transport
     // failures propagate.
-    Message resp = transact(encodeSubmitMission(spec, key),
-                            !key.empty());
+    SubmitRequest req;
+    req.idempotencyKey = key;
+    req.spec = spec;
+    Message resp = transact(encode(req), !key.empty());
     SubmitOutcome out;
     out.idempotencyKey = key;
     if (resp.type == MsgType::SubmitOk) {
-        SubmitOkReply ok = decodeSubmitOk(resp);
+        SubmitOkReply ok = decode<SubmitOkReply>(resp);
         out.accepted = true;
         out.jobId = ok.jobId;
         out.queuePosition = ok.queuePosition;
         return out;
     }
-    RejectedReply rej = decodeRejected(resp);
+    RejectedReply rej = decode<RejectedReply>(resp);
     out.accepted = false;
     out.reason = rej.reason;
     out.detail = rej.detail;
@@ -259,31 +261,28 @@ StatusInfo
 ServeClient::status(uint64_t job_id)
 {
     // A pure read: always safe to retry.
-    return decodeStatusReply(
-        transact(encodeQueryStatus(job_id), true));
+    return decode<StatusInfo>(transact(encode(StatusRequest{job_id}), true));
 }
 
 bool
 ServeClient::tryFetchResult(uint64_t job_id, ServedResult &out,
-                            JobState *state_out,
-                            TrajectoryEncoding encoding)
+                            JobState *state_out, TrajectoryEncoding)
 {
     // Resumable fetch: on connection loss mid-stream (reconnect
     // enabled) the assembled prefix is kept and the re-request
     // carries its byte offset; the server restarts chunk numbering
-    // at 0 from there (rewindForResume matches). If the server
-    // refuses the resume (e.g. binary no longer servable), one
-    // restart from offset 0 with a fresh assembler is attempted.
+    // at 0 from there (rewindForResume matches). If the resumed
+    // stream fails verification, one restart from offset 0 with a
+    // fresh assembler is attempted.
     ResultStreamAssembler assembler(job_id);
     bool restarted = false;
     int episodes = 0;
     for (;;) {
         try {
-            Message resp = request(encodeFetchResult(
-                job_id, encoding,
-                uint64_t(assembler.payloadBytes())));
+            Message resp = request(encode(FetchRequest{
+                job_id, uint64_t(assembler.payloadBytes())}));
             if (resp.type == MsgType::StatusReply) {
-                StatusInfo s = decodeStatusReply(resp);
+                StatusInfo s = decode<StatusInfo>(resp);
                 if (state_out)
                     *state_out = s.state;
                 if (s.state == JobState::Unknown)
@@ -325,8 +324,8 @@ ServeClient::tryFetchResult(uint64_t job_id, ServedResult &out,
     if (state_out)
         *state_out = d.state;
     // The bytes are verified locally: release the server-side record
-    // (the ack carries the hash of the payload we assembled — CSV or
-    // binary — so the server only drops what we actually hold).
+    // (the ack carries the hash of the payload we assembled, so the
+    // server only drops what we actually hold).
     ackVerified(job_id, payload_hash);
     return true;
 }
@@ -336,34 +335,32 @@ ServeClient::ackVerified(uint64_t job_id, uint64_t payload_hash)
 {
     Message resp;
     try {
-        resp = transact(encodeAckResult(job_id, payload_hash),
-                        true);
+        resp = transact(encode(AckRequest{job_id, payload_hash}), true);
     } catch (const TransportError &) {
         // Best effort: the result is already safe in our hands; an
         // unreachable server just retains the record until its
         // retention bound evicts it.
         return;
     }
-    AckInfo a = decodeAckReply(resp);
+    AckInfo a = decode<AckInfo>(resp);
     if (a.outcome == AckOutcome::HashMismatch)
         // Should be impossible after local verification — it means
         // the server holds different bytes than it streamed us.
         throw ProtocolError(detail::concat(
             "server refused ack of job ", job_id,
-            ": trajectory hash mismatch"));
+            ": payload hash mismatch"));
     // Released, or UnknownJob (an earlier ack already landed): done.
 }
 
 ServedResult
 ServeClient::waitResult(uint64_t job_id, int timeout_ms, int poll_ms,
-                        TrajectoryEncoding encoding,
                         JobState *state_out)
 {
     auto deadline = Clock::now() +
                     std::chrono::milliseconds(timeout_ms);
     for (;;) {
         ServedResult result;
-        if (tryFetchResult(job_id, result, state_out, encoding))
+        if (tryFetchResult(job_id, result, state_out))
             return result;
         if (Clock::now() >= deadline)
             throw TransportError(detail::concat(
@@ -379,22 +376,19 @@ ServeClient::cancel(uint64_t job_id)
 {
     // Cancel is idempotent (a second cancel of the same id answers
     // Dequeued/AlreadyDone, never double-acts): retriable.
-    return decodeCancelReply(
-        transact(encodeCancelMission(job_id), true));
+    return decode<CancelInfo>(transact(encode(CancelRequest{job_id}), true));
 }
 
 ServerStatsData
 ServeClient::serverStats()
 {
-    return decodeStatsReply(transact(encodeServerStats(), true));
+    return decode<ServerStatsData>(transact(encode(StatsRequest{}), true));
 }
 
 void
 ServeClient::shutdownServer(bool drain)
 {
-    Message resp = request(encodeShutdown(drain));
-    if (resp.type != MsgType::ShutdownReply)
-        throw ProtocolError("unexpected reply to Shutdown");
+    decode<ShutdownReply>(request(encode(ShutdownRequest{drain})));
 }
 
 } // namespace rose::serve

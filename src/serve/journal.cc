@@ -25,8 +25,8 @@ constexpr size_t kRecordOverheadBytes = 1 + 4 + 8;
 
 /**
  * Sanity bound on one record's payload: the largest legitimate
- * record is a Terminal carrying a trajectory CSV, itself bounded by
- * the client-side reassembly guard.
+ * record is a Terminal carrying the trajectory records, themselves
+ * bounded by the client-side reassembly guard.
  */
 constexpr size_t kMaxRecordPayloadBytes =
     kMaxAssembledTrajectoryBytes + (1u << 20);
@@ -38,11 +38,15 @@ enum RecordType : uint8_t
     kRecReleased = 3,
 };
 
-uint64_t
-payloadHash(const uint8_t *data, size_t n)
+/** Append one framed record: type, length, payload, payload hash. */
+void
+frameRecord(StateWriter &w, uint8_t type,
+            const std::vector<uint8_t> &payload)
 {
-    return fnv1a(std::string_view(
-        reinterpret_cast<const char *>(data), n));
+    w.u8(type);
+    w.u32(uint32_t(payload.size()));
+    w.bytes(payload.data(), payload.size());
+    w.u64(fnv1a(payload.data(), payload.size()));
 }
 
 std::vector<uint8_t>
@@ -56,79 +60,39 @@ headerBytes(uint64_t fingerprint)
     return w.take();
 }
 
-void
-writeServedResult(StateWriter &w, const ServedResult &s)
+/** Head of a Terminal record: the job and its terminal state. */
+struct TerminalHead
 {
-    w.boolean(s.completed);
-    w.u8(s.status);
-    w.str(s.failureReason);
-    w.f64(s.missionTime);
-    w.u64(s.collisions);
-    w.f64(s.avgSpeed);
-    w.f64(s.maxSpeed);
-    w.f64(s.distanceTravelled);
-    w.u64(s.inferences);
-    w.f64(s.avgInferenceLatency);
-    w.f64(s.energyJoules);
-    w.f64(s.avgPowerWatts);
-    w.u64(s.simulatedCycles);
-    w.u32(s.trajectorySamples);
-    w.u32(s.degradedIntervals);
-    w.f64(s.queueWaitMs);
-    w.f64(s.serviceMs);
-    w.str(s.trajectoryCsv);
-    w.u64(s.trajectoryHash);
-}
+    uint64_t jobId = 0;
+    JobState state = JobState::Done;
 
-ServedResult
-readServedResult(StateReader &r)
-{
-    ServedResult s;
-    s.completed = r.boolean();
-    s.status = r.u8();
-    s.failureReason = r.str();
-    s.missionTime = r.f64();
-    s.collisions = r.u64();
-    s.avgSpeed = r.f64();
-    s.maxSpeed = r.f64();
-    s.distanceTravelled = r.f64();
-    s.inferences = r.u64();
-    s.avgInferenceLatency = r.f64();
-    s.energyJoules = r.f64();
-    s.avgPowerWatts = r.f64();
-    s.simulatedCycles = r.u64();
-    s.trajectorySamples = r.u32();
-    s.degradedIntervals = r.u32();
-    s.queueWaitMs = r.f64();
-    s.serviceMs = r.f64();
-    s.trajectoryCsv = r.str();
-    s.trajectoryHash = r.u64();
-    return s;
-}
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, ranged(s.state, JobState::Done, JobState::Cancelled));
+    }
+};
 
 std::vector<uint8_t>
 encodeSubmitPayload(uint64_t job_id, const std::string &idem_key,
                     const core::MissionSpec &spec)
 {
-    // The spec (key included) rides in its SubmitMission wire form,
-    // so the journal reuses the protocol codec's validation and
-    // version handling verbatim on replay.
-    Message m = encodeSubmitMission(spec, idem_key);
     StateWriter w;
     w.u64(job_id);
-    w.u32(uint32_t(m.payload.size()));
-    w.bytes(m.payload.data(), m.payload.size());
+    SubmitRequest req;
+    req.idempotencyKey = idem_key;
+    req.spec = spec;
+    writeFields(w, req);
     return w.take();
 }
 
 std::vector<uint8_t>
 encodeTerminalPayload(uint64_t job_id, JobState state,
-                      const ServedResult &result)
+                      const RetainedResult &result)
 {
     StateWriter w;
-    w.u64(job_id);
-    w.u8(uint8_t(state));
-    writeServedResult(w, result);
+    writeFields(w, TerminalHead{job_id, state});
+    writeFields(w, result);
     return w.take();
 }
 
@@ -138,6 +102,13 @@ encodeReleasedPayload(uint64_t job_id)
     StateWriter w;
     w.u64(job_id);
     return w.take();
+}
+
+void
+expectEnd(const StateReader &r)
+{
+    if (r.remaining() != 0)
+        throw SerdeError("journal record has trailing bytes");
 }
 
 /**
@@ -159,14 +130,9 @@ applyRecord(uint8_t type, const uint8_t *payload, size_t n,
         // included — so a restarted daemon never reuses an id a past
         // client may still reference.
         rep.maxJobId = std::max(rep.maxJobId, job.jobId);
-        uint32_t spec_len = r.u32();
-        if (spec_len > r.remaining())
-            throw SerdeError("submit record spec truncated");
-        Message m;
-        m.type = MsgType::SubmitMission;
-        m.payload.resize(spec_len);
-        r.bytes(m.payload.data(), spec_len);
-        SubmitRequest req = decodeSubmitRequest(m);
+        SubmitRequest req;
+        readFields(r, req);
+        expectEnd(r);
         job.spec = std::move(req.spec);
         job.idempotencyKey = std::move(req.idempotencyKey);
         for (const RecoveredJob &existing : jobs)
@@ -176,19 +142,18 @@ applyRecord(uint8_t type, const uint8_t *payload, size_t n,
         return;
       }
       case kRecTerminal: {
-        uint64_t id = r.u64();
-        uint8_t state = r.u8();
-        if (state != uint8_t(JobState::Done) &&
-            state != uint8_t(JobState::Failed) &&
-            state != uint8_t(JobState::Cancelled))
-            throw SerdeError("terminal record with non-terminal "
-                             "state byte");
-        ServedResult result = readServedResult(r);
+        TerminalHead head;
+        readFields(r, head);
+        RetainedResult result;
+        readFields(r, result);
+        expectEnd(r);
+        result.recordsHash =
+            fnv1a(result.records.data(), result.records.size());
         for (RecoveredJob &job : jobs) {
-            if (job.jobId != id)
+            if (job.jobId != head.jobId)
                 continue;
             job.terminal = true;
-            job.state = JobState(state);
+            job.state = head.state;
             job.result = std::move(result);
             return;
         }
@@ -219,7 +184,7 @@ journalFingerprint(bool supervise)
     w.u32(core::Checkpoint::kVersion);
     w.boolean(supervise);
     const std::vector<uint8_t> &b = w.data();
-    return payloadHash(b.data(), b.size());
+    return fnv1a(b.data(), b.size());
 }
 
 JournalReplay
@@ -264,11 +229,9 @@ JobJournal::replayBytes(const std::vector<uint8_t> &bytes,
         size_t avail = bytes.size() - pos;
         if (avail < 1 + 4)
             break; // torn record header
-        uint8_t type = bytes[pos];
-        uint32_t len = uint32_t(bytes[pos + 1]) |
-                       uint32_t(bytes[pos + 2]) << 8 |
-                       uint32_t(bytes[pos + 3]) << 16 |
-                       uint32_t(bytes[pos + 4]) << 24;
+        StateReader head(bytes.data() + pos, 1 + 4);
+        uint8_t type = head.u8();
+        uint32_t len = head.u32();
         if (type < kRecSubmit || type > kRecReleased)
             break; // corrupt type byte
         if (len > kMaxRecordPayloadBytes)
@@ -277,7 +240,7 @@ JobJournal::replayBytes(const std::vector<uint8_t> &bytes,
             break; // torn payload/hash
         const uint8_t *payload = bytes.data() + pos + 5;
         StateReader tail(payload + len, 8);
-        if (tail.u64() != payloadHash(payload, len))
+        if (tail.u64() != fnv1a(payload, len))
             break; // corrupt payload
         try {
             applyRecord(type, payload, len, rep);
@@ -332,20 +295,13 @@ JobJournal::JobJournal(std::string dir, uint64_t config_fingerprint,
     StateWriter w;
     w.bytes(headerBytes(fingerprint_).data(), kHeaderBytes);
     for (const RecoveredJob &job : replay_.jobs) {
-        std::vector<uint8_t> p = encodeSubmitPayload(
-            job.jobId, job.idempotencyKey, job.spec);
-        w.u8(kRecSubmit);
-        w.u32(uint32_t(p.size()));
-        w.bytes(p.data(), p.size());
-        w.u64(payloadHash(p.data(), p.size()));
-        if (job.terminal) {
-            p = encodeTerminalPayload(job.jobId, job.state,
-                                      job.result);
-            w.u8(kRecTerminal);
-            w.u32(uint32_t(p.size()));
-            w.bytes(p.data(), p.size());
-            w.u64(payloadHash(p.data(), p.size()));
-        }
+        frameRecord(w, kRecSubmit,
+                    encodeSubmitPayload(job.jobId, job.idempotencyKey,
+                                        job.spec));
+        if (job.terminal)
+            frameRecord(w, kRecTerminal,
+                        encodeTerminalPayload(job.jobId, job.state,
+                                              job.result));
     }
     const std::vector<uint8_t> &img = w.data();
     bool ok = std::fwrite(img.data(), 1, img.size(), out) ==
@@ -378,10 +334,7 @@ JobJournal::appendRecord(uint8_t type,
                          const std::vector<uint8_t> &payload)
 {
     StateWriter w;
-    w.u8(type);
-    w.u32(uint32_t(payload.size()));
-    w.bytes(payload.data(), payload.size());
-    w.u64(payloadHash(payload.data(), payload.size()));
+    frameRecord(w, type, payload);
     const std::vector<uint8_t> &rec = w.data();
 
     std::lock_guard<std::mutex> lk(mu_);
@@ -406,7 +359,7 @@ JobJournal::appendSubmit(uint64_t job_id, const std::string &idem_key,
 
 void
 JobJournal::appendTerminal(uint64_t job_id, JobState state,
-                           const ServedResult &result)
+                           const RetainedResult &result)
 {
     appendRecord(kRecTerminal,
                  encodeTerminalPayload(job_id, state, result));

@@ -10,8 +10,8 @@
  *   - SubmitMission appends a Submit record (job id, idempotency key,
  *     the spec in its wire form) before the job enters the queue.
  *   - A terminal transition (Done / Failed / Cancelled) appends a
- *     Terminal record carrying the full scalar result, the canonical
- *     trajectory CSV, and its FNV-1a hash.
+ *     Terminal record carrying the scalar result (the canonical-CSV
+ *     hash included) and the binary trajectory records.
  *   - A hash-verified client ack (or retention eviction) appends a
  *     Released record.
  *
@@ -29,6 +29,11 @@
  *            u64 config fingerprint (journalFingerprint())
  *   record:  u8 type · u32 payload length · payload ·
  *            u64 FNV-1a(payload)
+ *
+ * Record payloads reuse the protocol's field lists: a Submit is the
+ * job id and the SubmitRequest fields, a Terminal is the job id, the
+ * state, and the RetainedResult fields (ServedResult's scalars, then
+ * the records).
  *
  * Replay never aborts: a truncated tail or a record whose hash does
  * not match ends recovery at the last intact record (the file is
@@ -74,6 +79,27 @@ class JournalError : public std::runtime_error
         : std::runtime_error(what) {}
 };
 
+/**
+ * A terminal job's result as rosed retains and journals it: the
+ * scalars plus the binary trajectory records a fetch streams.
+ */
+struct RetainedResult
+{
+    /** Scalars; `trajectory` stays empty. */
+    ServedResult result;
+    /** encodeTrajectoryBinary() records: the result stream payload. */
+    std::vector<uint8_t> records;
+    /** FNV-1a of `records` (ResultEnd.payloadHash); not serialized. */
+    uint64_t recordsHash = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        ServedResult::fields(s.result, f);
+        f(bounded(s.records, kMaxAssembledTrajectoryBytes));
+    }
+};
+
 /** One job reconstructed by replay. */
 struct RecoveredJob
 {
@@ -84,8 +110,8 @@ struct RecoveredJob
     bool terminal = false;
     /** Done / Failed / Cancelled when terminal. */
     JobState state = JobState::Queued;
-    /** The journaled result (samples empty; CSV + hash intact). */
-    ServedResult result;
+    /** The journaled result (recordsHash recomputed). */
+    RetainedResult result;
 };
 
 /** Outcome of the open-time replay. */
@@ -135,7 +161,7 @@ class JobJournal
     void appendSubmit(uint64_t job_id, const std::string &idem_key,
                       const core::MissionSpec &spec);
     void appendTerminal(uint64_t job_id, JobState state,
-                        const ServedResult &result);
+                        const RetainedResult &result);
     void appendReleased(uint64_t job_id);
 
     /** Where this job's supervisor checkpoint ring persists. */
@@ -148,7 +174,8 @@ class JobJournal
     /** Journal file size after the last append [bytes]. */
     uint64_t bytesOnDisk() const;
 
-    static constexpr uint32_t kVersion = 1;
+    /** Version 2 stores binary trajectory records, not CSV. */
+    static constexpr uint32_t kVersion = 2;
 
     /**
      * Parse journal bytes (header included) into a replay. Exposed

@@ -2,15 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace rose::serve {
-
-using bridge::ByteReader;
-using bridge::ByteWriter;
 
 bool
 isValidMsgType(uint8_t raw)
@@ -98,16 +94,6 @@ jobStateName(JobState s)
 }
 
 const char *
-trajectoryEncodingName(TrajectoryEncoding e)
-{
-    switch (e) {
-      case TrajectoryEncoding::Csv: return "csv";
-      case TrajectoryEncoding::Binary: return "binary";
-    }
-    return "unknown";
-}
-
-const char *
 ackOutcomeName(AckOutcome o)
 {
     switch (o) {
@@ -117,204 +103,6 @@ ackOutcomeName(AckOutcome o)
     }
     return "unknown";
 }
-
-// ------------------------------------------------------------- framing
-
-void
-serializeMessage(const Message &m, std::vector<uint8_t> &out)
-{
-    rose_assert(m.payload.size() <= kMaxServePayloadBytes,
-                "serve message payload exceeds wire bound");
-    out.reserve(out.size() + m.wireSize());
-    out.push_back(uint8_t(m.type));
-    uint32_t len = uint32_t(m.payload.size());
-    out.push_back(uint8_t(len));
-    out.push_back(uint8_t(len >> 8));
-    out.push_back(uint8_t(len >> 16));
-    out.push_back(uint8_t(len >> 24));
-    out.insert(out.end(), m.payload.begin(), m.payload.end());
-}
-
-FrameStatus
-tryDecodeMessage(const uint8_t *data, size_t size, size_t &consumed,
-                 Message &out, std::string *error)
-{
-    consumed = 0;
-    if (size < Message::kHeaderBytes)
-        return FrameStatus::NeedMore;
-
-    // Validate the header before touching (or allocating for) the
-    // payload — same rule as the bridge framing.
-    uint8_t raw_type = data[0];
-    if (!isValidMsgType(raw_type)) {
-        if (error)
-            *error = detail::concat("unknown serve message type 0x",
-                                    std::hex, unsigned(raw_type));
-        return FrameStatus::Malformed;
-    }
-    uint32_t len = uint32_t(data[1]) | uint32_t(data[2]) << 8 |
-                   uint32_t(data[3]) << 16 | uint32_t(data[4]) << 24;
-    if (len > kMaxServePayloadBytes) {
-        if (error)
-            *error = detail::concat("serve payload length ", len,
-                                    " exceeds bound ",
-                                    kMaxServePayloadBytes);
-        return FrameStatus::Malformed;
-    }
-    if (size < Message::kHeaderBytes + size_t(len))
-        return FrameStatus::NeedMore;
-
-    out.type = MsgType(raw_type);
-    out.payload.assign(data + Message::kHeaderBytes,
-                       data + Message::kHeaderBytes + len);
-    consumed = Message::kHeaderBytes + len;
-    return FrameStatus::Ok;
-}
-
-void
-MessageBuffer::append(const uint8_t *data, size_t n)
-{
-    buf_.insert(buf_.end(), data, data + n);
-}
-
-FrameStatus
-MessageBuffer::next(Message &out, std::string *error)
-{
-    if (poisoned_) {
-        if (error)
-            *error = poisonError_;
-        return FrameStatus::Malformed;
-    }
-    size_t consumed = 0;
-    std::string err;
-    FrameStatus st =
-        tryDecodeMessage(buf_.data() + pos_, buf_.size() - pos_,
-                         consumed, out, &err);
-    switch (st) {
-      case FrameStatus::Ok:
-        pos_ += consumed;
-        // Amortized compaction: only shift remaining bytes down once
-        // the dead prefix dominates, keeping the drain loop O(bytes).
-        if (pos_ > 4096 && pos_ >= buf_.size() / 2) {
-            buf_.erase(buf_.begin(),
-                       buf_.begin() + std::ptrdiff_t(pos_));
-            pos_ = 0;
-        }
-        if (buf_.size() == pos_) {
-            buf_.clear();
-            pos_ = 0;
-        }
-        return FrameStatus::Ok;
-      case FrameStatus::NeedMore:
-        return FrameStatus::NeedMore;
-      case FrameStatus::Malformed:
-        poisoned_ = true;
-        poisonError_ = err;
-        if (error)
-            *error = err;
-        return FrameStatus::Malformed;
-    }
-    return FrameStatus::Malformed;
-}
-
-void
-MessageBuffer::clear()
-{
-    buf_.clear();
-    pos_ = 0;
-    poisoned_ = false;
-    poisonError_.clear();
-}
-
-// ------------------------------------------------------------- helpers
-
-namespace {
-
-/** Hard bound on identifier-like strings in specs/replies. */
-constexpr size_t kMaxStringBytes = 4096;
-
-void
-writeString(ByteWriter &w, const std::string &s, size_t bound)
-{
-    rose_assert(s.size() <= bound, "serve string exceeds wire bound");
-    w.u32(uint32_t(s.size()));
-    w.bytes(reinterpret_cast<const uint8_t *>(s.data()), s.size());
-}
-
-std::string
-readString(ByteReader &r, size_t bound)
-{
-    uint32_t n = r.u32();
-    if (n > bound)
-        throw ProtocolError(detail::concat(
-            "string field length ", n, " exceeds bound ", bound));
-    if (n > r.remaining())
-        throw ProtocolError("string field truncated");
-    std::string s(n, '\0');
-    r.bytes(reinterpret_cast<uint8_t *>(s.data()), n);
-    return s;
-}
-
-void
-requireType(const Message &m, MsgType want)
-{
-    if (m.type != want)
-        throw ProtocolError(detail::concat(
-            "expected ", msgTypeName(want), ", got ",
-            msgTypeName(m.type)));
-}
-
-Message
-makeJobIdMessage(MsgType t, uint64_t job_id)
-{
-    Message m;
-    m.type = t;
-    ByteWriter w(m.payload);
-    w.u64(job_id);
-    return m;
-}
-
-uint64_t
-readJobIdMessage(const Message &m, MsgType want)
-{
-    requireType(m, want);
-    ByteReader r(m.payload);
-    return r.u64();
-}
-
-JobState
-readTerminalState(ByteReader &r, const char *where)
-{
-    uint8_t state = r.u8();
-    if (state != uint8_t(JobState::Done) &&
-        state != uint8_t(JobState::Failed))
-        throw ProtocolError(detail::concat(
-            "non-terminal job state byte ", unsigned(state), " in ",
-            where));
-    return JobState(state);
-}
-
-TrajectoryEncoding
-readEncoding(ByteReader &r, const char *where)
-{
-    uint8_t enc = r.u8();
-    if (enc != uint8_t(TrajectoryEncoding::Csv) &&
-        enc != uint8_t(TrajectoryEncoding::Binary))
-        throw ProtocolError(detail::concat(
-            "invalid trajectory encoding byte ", unsigned(enc),
-            " in ", where));
-    return TrajectoryEncoding(enc);
-}
-
-void
-writeF32(ByteWriter &w, float f)
-{
-    uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    w.u32(bits);
-}
-
-} // namespace
 
 // ------------------------------------------------ binary trajectory
 
@@ -331,343 +119,56 @@ canonicalTrajectoryF32(double v)
     return float(std::strtod(buf, nullptr));
 }
 
-void
-encodeTrajectoryBinaryRecords(const core::TrajectorySample *samples,
-                              size_t count, std::vector<uint8_t> &out)
-{
-    out.reserve(out.size() + count * kTrajectoryBinaryRecordBytes);
-    ByteWriter w(out);
-    for (size_t i = 0; i < count; ++i) {
-        const core::TrajectorySample &s = samples[i];
-        if (s.collisions > UINT32_MAX)
-            throw ProtocolError(detail::concat(
-                "collision count ", s.collisions,
-                " exceeds the u32 binary-record field"));
-        writeF32(w, canonicalTrajectoryF32(s.time));
-        writeF32(w, canonicalTrajectoryF32(s.position.x));
-        writeF32(w, canonicalTrajectoryF32(s.position.y));
-        writeF32(w, canonicalTrajectoryF32(s.position.z));
-        writeF32(w, canonicalTrajectoryF32(s.yaw));
-        writeF32(w, canonicalTrajectoryF32(s.speed));
-        writeF32(w, canonicalTrajectoryF32(s.lateralOffset));
-        w.u32(uint32_t(s.collisions));
-        writeF32(w, canonicalTrajectoryF32(s.cmdForward));
-        writeF32(w, canonicalTrajectoryF32(s.cmdLateral));
-        writeF32(w, canonicalTrajectoryF32(s.cmdYawRate));
-    }
-}
-
 std::vector<uint8_t>
 encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t)
 {
-    std::vector<uint8_t> out;
-    encodeTrajectoryBinaryRecords(t.data(), t.size(), out);
-    return out;
+    StateWriter w;
+    w.reserve(t.size() * kTrajectoryBinaryRecordBytes);
+    for (const core::TrajectorySample &s : t) {
+        if (s.collisions > UINT32_MAX)
+            throw SerdeError(detail::concat(
+                "collision count ", s.collisions,
+                " exceeds the u32 binary-record field"));
+        w.f32(canonicalTrajectoryF32(s.time));
+        w.f32(canonicalTrajectoryF32(s.position.x));
+        w.f32(canonicalTrajectoryF32(s.position.y));
+        w.f32(canonicalTrajectoryF32(s.position.z));
+        w.f32(canonicalTrajectoryF32(s.yaw));
+        w.f32(canonicalTrajectoryF32(s.speed));
+        w.f32(canonicalTrajectoryF32(s.lateralOffset));
+        w.u32(uint32_t(s.collisions));
+        w.f32(canonicalTrajectoryF32(s.cmdForward));
+        w.f32(canonicalTrajectoryF32(s.cmdLateral));
+        w.f32(canonicalTrajectoryF32(s.cmdYawRate));
+    }
+    return w.take();
 }
 
 std::vector<core::TrajectorySample>
 decodeTrajectoryBinary(const uint8_t *data, size_t size)
 {
     if (size % kTrajectoryBinaryRecordBytes != 0)
-        throw ProtocolError(detail::concat(
+        throw SerdeError(detail::concat(
             "binary trajectory payload of ", size,
             " bytes is not a whole number of ",
             kTrajectoryBinaryRecordBytes, "-byte records"));
-    std::vector<core::TrajectorySample> t;
-    t.resize(size / kTrajectoryBinaryRecordBytes);
-    const uint8_t *p = data;
-    auto rd_u32 = [&p]() {
-        uint32_t v = uint32_t(p[0]) | uint32_t(p[1]) << 8 |
-                     uint32_t(p[2]) << 16 | uint32_t(p[3]) << 24;
-        p += 4;
-        return v;
-    };
-    auto rd_f32 = [&rd_u32]() {
-        uint32_t bits = rd_u32();
-        float f = 0.0f;
-        std::memcpy(&f, &bits, sizeof(f));
-        return double(f);
-    };
+    std::vector<core::TrajectorySample> t(size /
+                                          kTrajectoryBinaryRecordBytes);
+    StateReader r(data, size);
     for (core::TrajectorySample &s : t) {
-        s.time = rd_f32();
-        s.position.x = rd_f32();
-        s.position.y = rd_f32();
-        s.position.z = rd_f32();
-        s.yaw = rd_f32();
-        s.speed = rd_f32();
-        s.lateralOffset = rd_f32();
-        s.collisions = rd_u32();
-        s.cmdForward = rd_f32();
-        s.cmdLateral = rd_f32();
-        s.cmdYawRate = rd_f32();
+        s.time = r.f32();
+        s.position.x = r.f32();
+        s.position.y = r.f32();
+        s.position.z = r.f32();
+        s.yaw = r.f32();
+        s.speed = r.f32();
+        s.lateralOffset = r.f32();
+        s.collisions = r.u32();
+        s.cmdForward = r.f32();
+        s.cmdLateral = r.f32();
+        s.cmdYawRate = r.f32();
     }
     return t;
-}
-
-// ------------------------------------------------------------ requests
-
-Message
-encodeSubmitMission(const core::MissionSpec &spec,
-                    const std::string &idempotency_key)
-{
-    Message m;
-    m.type = MsgType::SubmitMission;
-    ByteWriter w(m.payload);
-    w.u8(kSpecCodecVersion);
-    writeString(w, idempotency_key, kMaxIdempotencyKeyBytes);
-    writeString(w, spec.world, kMaxStringBytes);
-    writeString(w, spec.vehicle, kMaxStringBytes);
-    writeString(w, spec.socName, kMaxStringBytes);
-    w.u32(uint32_t(spec.modelDepth));
-    w.f64(spec.velocity);
-    w.f64(spec.initialYawDeg);
-    w.u64(spec.syncGranularity);
-    w.u8(uint8_t(spec.mode));
-    w.u64(spec.seed);
-    w.f64(spec.maxSimSeconds);
-    w.u8(spec.degradedMode ? 1 : 0);
-    const bridge::FaultConfig &f = spec.faults;
-    w.u8(f.enabled ? 1 : 0);
-    w.f64(f.dropProb);
-    w.f64(f.corruptProb);
-    w.f64(f.reorderProb);
-    w.f64(f.delayProb);
-    w.u64(f.delayOpsMin);
-    w.u64(f.delayOpsMax);
-    w.u8(f.protectSyncPackets ? 1 : 0);
-    w.u64(f.seed);
-    return m;
-}
-
-SubmitRequest
-decodeSubmitRequest(const Message &m)
-{
-    requireType(m, MsgType::SubmitMission);
-    ByteReader r(m.payload);
-    uint8_t version = r.u8();
-    // Version 1 predates the idempotency key; still accepted (the
-    // journal replays v1-era records through this same decoder).
-    if (version < 1 || version > kSpecCodecVersion)
-        throw ProtocolError(detail::concat(
-            "unsupported mission-spec codec version ",
-            unsigned(version)));
-    SubmitRequest req;
-    if (version >= 2)
-        req.idempotencyKey = readString(r, kMaxIdempotencyKeyBytes);
-    core::MissionSpec &spec = req.spec;
-    spec.world = readString(r, kMaxStringBytes);
-    spec.vehicle = readString(r, kMaxStringBytes);
-    spec.socName = readString(r, kMaxStringBytes);
-    spec.modelDepth = int(r.u32());
-    spec.velocity = r.f64();
-    spec.initialYawDeg = r.f64();
-    spec.syncGranularity = r.u64();
-    uint8_t mode = r.u8();
-    if (mode > uint8_t(runtime::RuntimeMode::Dynamic))
-        throw ProtocolError(detail::concat(
-            "invalid runtime mode byte ", unsigned(mode)));
-    spec.mode = runtime::RuntimeMode(mode);
-    spec.seed = r.u64();
-    spec.maxSimSeconds = r.f64();
-    spec.degradedMode = r.u8() != 0;
-    bridge::FaultConfig &f = spec.faults;
-    f.enabled = r.u8() != 0;
-    f.dropProb = r.f64();
-    f.corruptProb = r.f64();
-    f.reorderProb = r.f64();
-    f.delayProb = r.f64();
-    f.delayOpsMin = r.u64();
-    f.delayOpsMax = r.u64();
-    f.protectSyncPackets = r.u8() != 0;
-    f.seed = r.u64();
-    return req;
-}
-
-core::MissionSpec
-decodeSubmitMission(const Message &m)
-{
-    return decodeSubmitRequest(m).spec;
-}
-
-Message
-encodeQueryStatus(uint64_t job_id)
-{
-    return makeJobIdMessage(MsgType::QueryStatus, job_id);
-}
-
-uint64_t
-decodeQueryStatus(const Message &m)
-{
-    return readJobIdMessage(m, MsgType::QueryStatus);
-}
-
-Message
-encodeFetchResult(uint64_t job_id, TrajectoryEncoding enc,
-                  uint64_t resume_offset)
-{
-    Message m;
-    m.type = MsgType::FetchResult;
-    ByteWriter w(m.payload);
-    w.u64(job_id);
-    w.u8(uint8_t(enc));
-    w.u64(resume_offset);
-    return m;
-}
-
-FetchRequest
-decodeFetchResult(const Message &m)
-{
-    requireType(m, MsgType::FetchResult);
-    ByteReader r(m.payload);
-    FetchRequest req;
-    req.jobId = r.u64();
-    req.encoding = readEncoding(r, "FetchResult");
-    req.resumeOffset = r.u64();
-    return req;
-}
-
-Message
-encodeAckResult(uint64_t job_id, uint64_t trajectory_hash)
-{
-    Message m;
-    m.type = MsgType::AckResult;
-    ByteWriter w(m.payload);
-    w.u64(job_id);
-    w.u64(trajectory_hash);
-    return m;
-}
-
-AckRequest
-decodeAckResult(const Message &m)
-{
-    requireType(m, MsgType::AckResult);
-    ByteReader r(m.payload);
-    AckRequest a;
-    a.jobId = r.u64();
-    a.trajectoryHash = r.u64();
-    return a;
-}
-
-Message
-encodeCancelMission(uint64_t job_id)
-{
-    return makeJobIdMessage(MsgType::CancelMission, job_id);
-}
-
-uint64_t
-decodeCancelMission(const Message &m)
-{
-    return readJobIdMessage(m, MsgType::CancelMission);
-}
-
-Message
-encodeServerStats()
-{
-    Message m;
-    m.type = MsgType::ServerStats;
-    return m;
-}
-
-Message
-encodeShutdown(bool drain)
-{
-    Message m;
-    m.type = MsgType::Shutdown;
-    ByteWriter w(m.payload);
-    w.u8(drain ? 1 : 0);
-    return m;
-}
-
-bool
-decodeShutdown(const Message &m)
-{
-    requireType(m, MsgType::Shutdown);
-    ByteReader r(m.payload);
-    return r.u8() != 0;
-}
-
-// ----------------------------------------------------------- responses
-
-Message
-encodeSubmitOk(const SubmitOkReply &reply)
-{
-    Message m;
-    m.type = MsgType::SubmitOk;
-    ByteWriter w(m.payload);
-    w.u64(reply.jobId);
-    w.u32(reply.queuePosition);
-    return m;
-}
-
-SubmitOkReply
-decodeSubmitOk(const Message &m)
-{
-    requireType(m, MsgType::SubmitOk);
-    ByteReader r(m.payload);
-    SubmitOkReply reply;
-    reply.jobId = r.u64();
-    reply.queuePosition = r.u32();
-    return reply;
-}
-
-Message
-encodeRejected(const RejectedReply &reply)
-{
-    Message m;
-    m.type = MsgType::SubmitRejected;
-    ByteWriter w(m.payload);
-    w.u8(uint8_t(reply.reason));
-    writeString(w, reply.detail, kMaxStringBytes);
-    return m;
-}
-
-RejectedReply
-decodeRejected(const Message &m)
-{
-    requireType(m, MsgType::SubmitRejected);
-    ByteReader r(m.payload);
-    RejectedReply reply;
-    uint8_t reason = r.u8();
-    if (reason < uint8_t(RejectReason::QueueFull) ||
-        reason > uint8_t(RejectReason::BadRequest))
-        throw ProtocolError(detail::concat(
-            "invalid reject reason byte ", unsigned(reason)));
-    reply.reason = RejectReason(reason);
-    reply.detail = readString(r, kMaxStringBytes);
-    return reply;
-}
-
-Message
-encodeStatusReply(const StatusInfo &s)
-{
-    Message m;
-    m.type = MsgType::StatusReply;
-    ByteWriter w(m.payload);
-    w.u64(s.jobId);
-    w.u8(uint8_t(s.state));
-    w.u32(s.queuePosition);
-    w.f64(s.queueWaitMs);
-    w.f64(s.serviceMs);
-    return m;
-}
-
-StatusInfo
-decodeStatusReply(const Message &m)
-{
-    requireType(m, MsgType::StatusReply);
-    ByteReader r(m.payload);
-    StatusInfo s;
-    s.jobId = r.u64();
-    uint8_t state = r.u8();
-    if (state < uint8_t(JobState::Queued) ||
-        state > uint8_t(JobState::Unknown))
-        throw ProtocolError(detail::concat(
-            "invalid job state byte ", unsigned(state)));
-    s.state = JobState(state);
-    s.queuePosition = r.u32();
-    s.queueWaitMs = r.f64();
-    s.serviceMs = r.f64();
-    return s;
 }
 
 ServedResult
@@ -676,7 +177,7 @@ marshalResult(const core::MissionResult &r)
     ServedResult s;
     s.completed = r.completed;
     s.status = uint8_t(r.status);
-    s.failureReason = r.failureReason;
+    s.failureReason = r.failureReason.substr(0, kMaxStringBytes);
     s.missionTime = r.missionTime;
     s.collisions = r.collisions;
     s.avgSpeed = r.avgSpeed;
@@ -689,151 +190,8 @@ marshalResult(const core::MissionResult &r)
     s.simulatedCycles = r.simulatedCycles;
     s.trajectorySamples = uint32_t(r.trajectory.size());
     s.degradedIntervals = uint32_t(r.degradedIntervals.size());
-    s.trajectoryCsv = core::trajectoryCsvString(r);
-    s.trajectoryHash = fnv1a(s.trajectoryCsv);
-    // Quantize the binary payload once, here, instead of once per
-    // Binary fetch; a trajectory the record cannot represent (u32
-    // collision overflow) simply leaves the cache empty and fetches
-    // fall back to CSV.
-    try {
-        s.trajectoryBinary = encodeTrajectoryBinary(r.trajectory);
-        s.trajectoryBinaryHash =
-            fnv1a(s.trajectoryBinary.data(), s.trajectoryBinary.size());
-    } catch (const ProtocolError &) {
-        s.trajectoryBinary.clear();
-        s.trajectoryBinaryHash = 0;
-    }
+    s.trajectoryHash = fnv1a(core::trajectoryCsvString(r));
     return s;
-}
-
-Message
-encodeResultChunk(const ResultChunkData &c)
-{
-    rose_assert(c.bytes.size() <= kMaxResultChunkBytes,
-                "result chunk exceeds the chunk bound");
-    Message m;
-    m.type = MsgType::ResultChunk;
-    ByteWriter w(m.payload);
-    w.u64(c.jobId);
-    w.u32(c.seq);
-    w.u32(uint32_t(c.bytes.size()));
-    w.bytes(c.bytes.data(), c.bytes.size());
-    return m;
-}
-
-ResultChunkData
-decodeResultChunk(const Message &m)
-{
-    requireType(m, MsgType::ResultChunk);
-    ByteReader r(m.payload);
-    ResultChunkData c;
-    c.jobId = r.u64();
-    c.seq = r.u32();
-    uint32_t n = r.u32();
-    if (n > kMaxResultChunkBytes)
-        throw ProtocolError(detail::concat(
-            "result chunk length ", n, " exceeds bound ",
-            kMaxResultChunkBytes));
-    if (n > r.remaining())
-        throw ProtocolError("result chunk truncated");
-    c.bytes.resize(n);
-    r.bytes(c.bytes.data(), n);
-    return c;
-}
-
-Message
-encodeResultEnd(const ResultEndData &e)
-{
-    Message m;
-    m.type = MsgType::ResultEnd;
-    ByteWriter w(m.payload);
-    w.u64(e.jobId);
-    w.u8(uint8_t(e.state));
-    w.u8(uint8_t(e.encoding));
-    w.u32(e.chunkCount);
-    w.u64(e.payloadBytes);
-    w.u64(e.trajectoryHash);
-    w.u64(e.payloadHash);
-    const ServedResult &s = e.result;
-    w.u8(s.completed ? 1 : 0);
-    w.u8(s.status);
-    writeString(w, s.failureReason, kMaxStringBytes);
-    w.f64(s.missionTime);
-    w.u64(s.collisions);
-    w.f64(s.avgSpeed);
-    w.f64(s.maxSpeed);
-    w.f64(s.distanceTravelled);
-    w.u64(s.inferences);
-    w.f64(s.avgInferenceLatency);
-    w.f64(s.energyJoules);
-    w.f64(s.avgPowerWatts);
-    w.u64(s.simulatedCycles);
-    w.u32(s.trajectorySamples);
-    w.u32(s.degradedIntervals);
-    w.f64(s.queueWaitMs);
-    w.f64(s.serviceMs);
-    return m;
-}
-
-ResultEndData
-decodeResultEnd(const Message &m)
-{
-    requireType(m, MsgType::ResultEnd);
-    ByteReader r(m.payload);
-    ResultEndData e;
-    e.jobId = r.u64();
-    e.state = readTerminalState(r, "ResultEnd");
-    e.encoding = readEncoding(r, "ResultEnd");
-    e.chunkCount = r.u32();
-    e.payloadBytes = r.u64();
-    e.trajectoryHash = r.u64();
-    e.payloadHash = r.u64();
-    ServedResult &s = e.result;
-    s.completed = r.u8() != 0;
-    s.status = r.u8();
-    s.failureReason = readString(r, kMaxStringBytes);
-    s.missionTime = r.f64();
-    s.collisions = r.u64();
-    s.avgSpeed = r.f64();
-    s.maxSpeed = r.f64();
-    s.distanceTravelled = r.f64();
-    s.inferences = r.u64();
-    s.avgInferenceLatency = r.f64();
-    s.energyJoules = r.f64();
-    s.avgPowerWatts = r.f64();
-    s.simulatedCycles = r.u64();
-    s.trajectorySamples = r.u32();
-    s.degradedIntervals = r.u32();
-    s.queueWaitMs = r.f64();
-    s.serviceMs = r.f64();
-    s.trajectoryHash = e.trajectoryHash;
-    return e;
-}
-
-Message
-encodeProgress(const ProgressEvent &p)
-{
-    Message m;
-    m.type = MsgType::Progress;
-    ByteWriter w(m.payload);
-    w.u64(p.jobId);
-    w.f64(p.simTimeSeconds);
-    w.f64(p.maxSimSeconds);
-    w.u64(p.samples);
-    return m;
-}
-
-ProgressEvent
-decodeProgress(const Message &m)
-{
-    requireType(m, MsgType::Progress);
-    ByteReader r(m.payload);
-    ProgressEvent p;
-    p.jobId = r.u64();
-    p.simTimeSeconds = r.f64();
-    p.maxSimSeconds = r.f64();
-    p.samples = r.u64();
-    return p;
 }
 
 // --------------------------------------------------- stream assembly
@@ -853,7 +211,7 @@ ResultStreamAssembler::feed(const Message &m)
             "stream for job ", jobId_));
     switch (m.type) {
       case MsgType::ResultChunk: {
-        ResultChunkData c = decodeResultChunk(m);
+        ResultChunkData c = decode<ResultChunkData>(m);
         if (c.jobId != jobId_)
             throw ProtocolError(detail::concat(
                 "ResultChunk for job ", c.jobId,
@@ -872,7 +230,7 @@ ResultStreamAssembler::feed(const Message &m)
         return false;
       }
       case MsgType::ResultEnd:
-        finish(decodeResultEnd(m));
+        finish(decode<ResultEndData>(m));
         return true;
       default:
         throw ProtocolError(detail::concat(
@@ -898,44 +256,24 @@ ResultStreamAssembler::finish(const ResultEndData &end)
             end.payloadBytes, " payload bytes, received ",
             payload_.size()));
 
-    // Integrity is checked over the payload bytes as received — no
-    // decoding (and for Binary no CSV re-render) sits between the
-    // wire and the hash, so a corrupt stream is caught before any
-    // decode runs and a Binary fetch verifies at memory speed.
+    // Integrity is checked over the payload bytes as received, before
+    // any decoding, so a corrupt stream never reaches the decoder.
     uint64_t h = fnv1a(payload_.data(), payload_.size());
     if (h != end.payloadHash)
         throw ProtocolError(detail::concat(
-            "payload hash mismatch after reassembly of job ",
-            jobId_, " (", trajectoryEncodingName(end.encoding),
-            " encoding, ", payload_.size(), " payload bytes)"));
+            "payload hash mismatch after reassembly of job ", jobId_,
+            " (", payload_.size(), " payload bytes)"));
 
     ResultData d;
     d.jobId = end.jobId;
     d.state = end.state;
     d.result = end.result;
     d.payloadHash = h;
-    switch (end.encoding) {
-      case TrajectoryEncoding::Csv:
-        // A Csv payload IS the canonical CSV, so the payload hash
-        // must coincide with the canonical-CSV hash the server
-        // advertises (and callers compare to goldens).
-        if (end.payloadHash != end.trajectoryHash)
-            throw ProtocolError(detail::concat(
-                "Csv stream payload hash disagrees with the "
-                "canonical trajectory hash for job ", jobId_));
-        d.result.trajectoryCsv.assign(payload_.begin(),
-                                      payload_.end());
-        break;
-      case TrajectoryEncoding::Binary:
-        // The records quantize every cell to its printed decimal, so
-        // core::trajectoryCsvString over these samples reproduces
-        // the server-side canonical CSV bit-for-bit (test_serve pins
-        // this); trajectoryCsv stays empty here — callers render it
-        // on demand instead of paying for it inside every fetch.
-        d.result.trajectory =
-            decodeTrajectoryBinary(payload_.data(), payload_.size());
-        break;
-    }
+    // The records quantize every cell to its printed decimal, so
+    // core::trajectoryCsvString over these samples reproduces the
+    // server-side canonical CSV bit-for-bit (test_serve pins this).
+    d.result.trajectory =
+        decodeTrajectoryBinary(payload_.data(), payload_.size());
     payload_.clear();
     payload_.shrink_to_fit();
     result_ = std::move(d);
@@ -960,169 +298,6 @@ ResultStreamAssembler::rewindForResume()
     // chunkCount counts the resumed stream's chunks and payloadBytes
     // is the whole payload, prefix included.
     nextSeq_ = 0;
-}
-
-Message
-encodeCancelReply(const CancelInfo &c)
-{
-    Message m;
-    m.type = MsgType::CancelReply;
-    ByteWriter w(m.payload);
-    w.u64(c.jobId);
-    w.u8(uint8_t(c.outcome));
-    return m;
-}
-
-CancelInfo
-decodeCancelReply(const Message &m)
-{
-    requireType(m, MsgType::CancelReply);
-    ByteReader r(m.payload);
-    CancelInfo c;
-    c.jobId = r.u64();
-    uint8_t outcome = r.u8();
-    if (outcome < uint8_t(CancelOutcome::Dequeued) ||
-        outcome > uint8_t(CancelOutcome::UnknownJob))
-        throw ProtocolError(detail::concat(
-            "invalid cancel outcome byte ", unsigned(outcome)));
-    c.outcome = CancelOutcome(outcome);
-    return c;
-}
-
-Message
-encodeAckReply(const AckInfo &a)
-{
-    Message m;
-    m.type = MsgType::AckReply;
-    ByteWriter w(m.payload);
-    w.u64(a.jobId);
-    w.u8(uint8_t(a.outcome));
-    return m;
-}
-
-AckInfo
-decodeAckReply(const Message &m)
-{
-    requireType(m, MsgType::AckReply);
-    ByteReader r(m.payload);
-    AckInfo a;
-    a.jobId = r.u64();
-    uint8_t outcome = r.u8();
-    if (outcome < uint8_t(AckOutcome::Released) ||
-        outcome > uint8_t(AckOutcome::HashMismatch))
-        throw ProtocolError(detail::concat(
-            "invalid ack outcome byte ", unsigned(outcome)));
-    a.outcome = AckOutcome(outcome);
-    return a;
-}
-
-Message
-encodeStatsReply(const ServerStatsData &s)
-{
-    Message m;
-    m.type = MsgType::StatsReply;
-    ByteWriter w(m.payload);
-    w.u64(s.submitted);
-    w.u64(s.accepted);
-    w.u64(s.completed);
-    w.u64(s.failed);
-    w.u64(s.cancelled);
-    w.u64(s.rejectedQueueFull);
-    w.u64(s.rejectedClientCap);
-    w.u64(s.rejectedShutdown);
-    w.u64(s.malformed);
-    w.u32(s.queued);
-    w.u32(s.running);
-    w.u32(s.workers);
-    w.u32(s.queueCapacity);
-    w.u64(s.connectionsAccepted);
-    w.u32(s.connectionsOpen);
-    w.f64(s.totalQueueWaitMs);
-    w.f64(s.maxQueueWaitMs);
-    w.f64(s.totalServiceMs);
-    w.f64(s.maxServiceMs);
-    w.u64(s.streamsStarted);
-    w.u64(s.streamsCompleted);
-    w.u64(s.streamedChunks);
-    w.u64(s.streamedPayloadBytes);
-    w.u64(s.progressEvents);
-    w.u64(s.retainedResultBytes);
-    w.u32(s.activeStreams);
-    w.u64(s.dedupedSubmits);
-    w.u64(s.journalReplayedJobs);
-    w.u64(s.warmRestoredJobs);
-    w.u64(s.resultsAcked);
-    w.u64(s.streamsResumed);
-    return m;
-}
-
-ServerStatsData
-decodeStatsReply(const Message &m)
-{
-    requireType(m, MsgType::StatsReply);
-    ByteReader r(m.payload);
-    ServerStatsData s;
-    s.submitted = r.u64();
-    s.accepted = r.u64();
-    s.completed = r.u64();
-    s.failed = r.u64();
-    s.cancelled = r.u64();
-    s.rejectedQueueFull = r.u64();
-    s.rejectedClientCap = r.u64();
-    s.rejectedShutdown = r.u64();
-    s.malformed = r.u64();
-    s.queued = r.u32();
-    s.running = r.u32();
-    s.workers = r.u32();
-    s.queueCapacity = r.u32();
-    s.connectionsAccepted = r.u64();
-    s.connectionsOpen = r.u32();
-    s.totalQueueWaitMs = r.f64();
-    s.maxQueueWaitMs = r.f64();
-    s.totalServiceMs = r.f64();
-    s.maxServiceMs = r.f64();
-    s.streamsStarted = r.u64();
-    s.streamsCompleted = r.u64();
-    s.streamedChunks = r.u64();
-    s.streamedPayloadBytes = r.u64();
-    s.progressEvents = r.u64();
-    s.retainedResultBytes = r.u64();
-    s.activeStreams = r.u32();
-    s.dedupedSubmits = r.u64();
-    s.journalReplayedJobs = r.u64();
-    s.warmRestoredJobs = r.u64();
-    s.resultsAcked = r.u64();
-    s.streamsResumed = r.u64();
-    return s;
-}
-
-Message
-encodeShutdownReply()
-{
-    Message m;
-    m.type = MsgType::ShutdownReply;
-    return m;
-}
-
-Message
-encodeErrorReply(const std::string &what)
-{
-    Message m;
-    m.type = MsgType::ErrorReply;
-    ByteWriter w(m.payload);
-    writeString(w, what.size() > kMaxStringBytes
-                       ? what.substr(0, kMaxStringBytes)
-                       : what,
-                kMaxStringBytes);
-    return m;
-}
-
-std::string
-decodeErrorReply(const Message &m)
-{
-    requireType(m, MsgType::ErrorReply);
-    ByteReader r(m.payload);
-    return readString(r, kMaxStringBytes);
 }
 
 } // namespace rose::serve

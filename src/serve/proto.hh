@@ -5,36 +5,34 @@
  * RoSÉ's evaluations are thousands of independent co-simulated
  * missions; the serve layer turns the in-process library into a
  * long-lived service multiple clients can submit missions to. This
- * header defines the request/response message set and its framing.
+ * header defines the request/response message set.
  *
- * Framing deliberately mirrors the hardened bridge packet format
- * (bridge/packet.hh): a 1-byte type + 4-byte little-endian length
- * header, with the type byte and length bound validated *before* any
- * payload allocation, and a poisoned-buffer rule — once framing is
- * lost the stream can never be trusted again. The payload bound is
- * larger than the bridge's, but still hard: a corrupt length can
- * neither trigger an unbounded allocation nor an endless NeedMore
- * wait.
+ * Framing is the bridge's validated frame decoder
+ * (bridge/framing.hh): a 1-byte type + 4-byte little-endian length
+ * header, checked before any payload allocation, and a poisoned
+ * buffer once framing is lost. Only the payload bound differs.
  *
- * Request/response pairing (protocol version 3): every request
- * produces exactly one *logical* response on the same connection, in
- * request order — but two response kinds span multiple frames or
- * arrive unsolicited:
+ * Every payload is a struct that names its MsgType (`kType`) and
+ * lists its fields once (`fields`); encode() and decode() walk that
+ * list with the util/serde.hh codec, so each field, bound and enum
+ * range is spelled out in exactly one place.
+ *
+ * Request/response pairing: every request produces exactly one
+ * *logical* response on the same connection, in request order — but
+ * two response kinds span multiple frames or arrive unsolicited:
  *
  *  - A FetchResult of a terminal job answers with a *result stream*:
  *    zero or more ResultChunk frames (ordered, contiguous segments of
- *    the trajectory payload) closed by exactly one ResultEnd frame
- *    that carries the scalar result, the terminal JobState, and an
- *    FNV-1a hash of the canonical trajectory CSV so the client can
- *    verify reassembly bit-for-bit. No frame for a *different
- *    request on the same connection* is interleaved inside a stream.
- *    FetchResult carries a *resume byte offset*: a client whose
- *    connection died mid-stream reconnects and asks for the payload
- *    from where its assembler stopped, instead of restarting. In a
- *    resumed stream, chunk seq restarts at 0 and ResultEnd's
- *    chunkCount counts only the chunks of *this* stream, while
- *    payloadBytes is always the total payload size — the client's
- *    prefix plus the resumed tail must add up to it.
+ *    the binary trajectory records) closed by exactly one ResultEnd
+ *    frame that carries the scalar result, the terminal JobState, and
+ *    the FNV-1a hash of the payload bytes so the client can verify
+ *    reassembly bit-for-bit. No frame for a *different request on the
+ *    same connection* is interleaved inside a stream. FetchResult
+ *    carries a *resume byte offset*: a client whose connection died
+ *    mid-stream reconnects and asks for the payload from where its
+ *    assembler stopped. In a resumed stream, chunk seq restarts at 0
+ *    and ResultEnd's chunkCount counts only the chunks of *this*
+ *    stream, while payloadBytes is always the total payload size.
  *
  *  - Progress frames are server-push events for *running* jobs owned
  *    by the connection. They may arrive between any two logical
@@ -49,59 +47,55 @@
 #define ROSE_SERVE_PROTO_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bridge/packet.hh"
+#include "bridge/framing.hh"
 #include "core/cosim.hh"
 #include "core/experiment.hh"
+#include "util/serde.hh"
 
 namespace rose::serve {
 
-/** Framing classification, shared with the bridge decoder. */
 using bridge::FrameStatus;
 
 /**
- * Semantically malformed payload inside a structurally valid frame
- * (truncated fields, out-of-range enum bytes, oversized strings).
- * The server answers such requests with an Error reply and keeps the
- * connection — the framing layer is still intact.
+ * A peer broke the protocol's stream state: a result stream out of
+ * order, short of its declared totals or failing its hash, a reply of
+ * the wrong type, or a fetch of an unknown or cancelled job.
+ * Malformed bytes are a plain SerdeError; ProtocolError derives from
+ * it, so one catch covers a bad peer.
  */
-class ProtocolError : public std::runtime_error
+class ProtocolError : public SerdeError
 {
   public:
-    explicit ProtocolError(const std::string &what)
-        : std::runtime_error(what) {}
+    explicit ProtocolError(const std::string &what) : SerdeError(what) {}
 };
 
 /**
  * Serve protocol version. Version 2 replaced the single-frame
  * ResultReply (wire type 0x84, now invalid) with chunked result
- * streams and added Progress push events plus a binary trajectory
- * encoding; FetchResult grew an encoding byte. Version 3 is the
- * crash-safety revision: SubmitMission carries a client-supplied
- * idempotency key (spec codec v2), FetchResult carries a resume byte
- * offset, and the one-shot release-at-stream-open moved to an
- * explicit hash-verified AckResult/AckReply exchange. Version 4
- * added a payload hash to ResultEnd — the FNV-1a of the stream's
- * payload bytes in their wire encoding — so a Binary stream is
- * verified over the bytes actually received instead of requiring the
- * client to re-render the canonical CSV inside the fetch; AckResult
- * correspondingly carries the payload hash of whichever encoding the
- * client assembled.
+ * streams and Progress push events. Version 3 added the idempotency
+ * key, resume offsets and the hash-verified AckResult. Version 4 put
+ * the payload hash on ResultEnd. Version 5 has a single trajectory
+ * encoding, the binary records: FetchResult and ResultEnd lost their
+ * encoding byte, ResultEnd carries the canonical-CSV hash among the
+ * result scalars, and AckResult carries the payload hash only.
  */
-constexpr uint8_t kServeProtocolVersion = 4;
+constexpr uint8_t kServeProtocolVersion = 5;
 
 /**
  * Version byte leading the SubmitMission payload (and the journal's
- * copy of it). Version 2 added the idempotency-key string between
- * the version byte and the spec fields.
+ * copy of it). Version 2 added the idempotency key; only version 2
+ * decodes.
  */
 constexpr uint8_t kSpecCodecVersion = 2;
 
 /** Bound on a SubmitMission idempotency key (empty = none). */
 constexpr size_t kMaxIdempotencyKeyBytes = 256;
+
+/** Bound on names, reasons and error texts in specs and replies. */
+constexpr size_t kMaxStringBytes = 4096;
 
 /** Wire identifiers. Requests 0x01..0x7f, responses 0x81..0xff. */
 enum class MsgType : uint8_t
@@ -163,7 +157,7 @@ constexpr size_t kDefaultResultChunkBytes = 256 * 1024;
 /**
  * Reassembly guard: a ResultStreamAssembler refuses to accumulate
  * more than this many payload bytes (a corrupt or hostile stream can
- * not drive an unbounded client allocation). 1 GiB is ~35 hours of
+ * not drive an unbounded client allocation). 1 GiB is ~60 hours of
  * mission at the default sample cadence — far past maxSimSeconds'
  * admission ceiling.
  */
@@ -175,48 +169,52 @@ struct Message
     MsgType type = MsgType::ServerStats;
     std::vector<uint8_t> payload;
 
-    /** Header bytes on the wire: 1 type byte + 4 length bytes. */
-    static constexpr size_t kHeaderBytes = 5;
+    static constexpr size_t kHeaderBytes = bridge::kFrameHeaderBytes;
+
+    // Framing traits (bridge/framing.hh).
+    static constexpr size_t kMaxPayload = kMaxServePayloadBytes;
+    static constexpr const char *kKind = "serve message";
+    static bool validType(uint8_t raw) { return isValidMsgType(raw); }
 
     size_t wireSize() const { return kHeaderBytes + payload.size(); }
 };
 
-/** Serialize header + payload onto a byte stream. */
-void serializeMessage(const Message &m, std::vector<uint8_t> &out);
+/** Receive-side message accumulator (bridge/framing.hh). */
+using MessageBuffer = bridge::FrameDecoder<Message>;
 
-/**
- * Validated frame decoder (mirrors bridge::tryDecodeFrame): parse one
- * message from the front of a byte range. Header checked before any
- * payload allocation; unknown type or oversized length is Malformed.
- */
-FrameStatus tryDecodeMessage(const uint8_t *data, size_t size,
-                             size_t &consumed, Message &out,
-                             std::string *error = nullptr);
-
-/**
- * Receive-side accumulator with a read cursor and amortized
- * compaction (O(bytes) to drain N messages). Once Malformed, the
- * buffer is poisoned and stays Malformed: a length-prefixed stream
- * cannot be resynchronized after framing is lost.
- */
-class MessageBuffer
+/** Encode a payload struct as its message. */
+template <class T>
+Message
+encode(const T &v)
 {
-  public:
-    void append(const uint8_t *data, size_t n);
-    FrameStatus next(Message &out, std::string *error = nullptr);
-    size_t pendingBytes() const { return buf_.size() - pos_; }
-    void clear();
+    StateWriter w;
+    writeFields(w, v);
+    return Message{T::kType, w.take()};
+}
 
-  private:
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;
-    bool poisoned_ = false;
-    std::string poisonError_;
-};
-
-// --------------------------------------------------------------------
-// Typed payload codecs. Decoders throw ProtocolError (or the
-// underlying bridge::PayloadError on byte underrun) on bad payloads.
+/**
+ * Decode a message as payload struct @p T.
+ * @throws ProtocolError when the message has another type;
+ * SerdeError when the payload is truncated, carries trailing bytes,
+ * or breaks a field's bound or range.
+ */
+template <class T>
+T
+decode(const Message &m)
+{
+    if (m.type != T::kType)
+        throw ProtocolError(std::string("expected ") +
+                            msgTypeName(T::kType) + ", got " +
+                            msgTypeName(m.type));
+    StateReader r(m.payload);
+    T v;
+    readFields(r, v);
+    if (r.remaining() != 0)
+        throw SerdeError(std::string(msgTypeName(m.type)) + " has " +
+                         std::to_string(r.remaining()) +
+                         " trailing bytes");
+    return v;
+}
 
 /** Why admission control refused a submission. */
 enum class RejectReason : uint8_t
@@ -243,29 +241,20 @@ enum class JobState : uint8_t
 const char *jobStateName(JobState s);
 
 /**
- * How the trajectory payload of a result stream is encoded. Stream
- * integrity is verified over the payload bytes as received (FNV-1a,
- * ResultEnd.payloadHash) for both encodings. The canonical CSV hash
- * still rides ResultEnd.trajectoryHash: a Csv stream's payload IS
- * the canonical CSV (the two hashes coincide), and a Binary stream's
- * records quantize every cell to its printed decimal, so rendering
- * the decoded samples (core::trajectoryCsvString) reproduces the
- * canonical CSV bit-for-bit — golden hashes are preserved in both
- * encodings, without the client re-rendering CSV inside the fetch.
+ * The trajectory wire encoding. Protocol 5 has one, the binary
+ * records below; the enum survives only as ServeClient's API
+ * parameter and carries nothing on the wire.
  */
 enum class TrajectoryEncoding : uint8_t
 {
-    Csv = 1,    ///< the canonical CSV bytes themselves
     Binary = 2, ///< fixed-width records (kTrajectoryBinaryRecordBytes)
 };
-
-const char *trajectoryEncodingName(TrajectoryEncoding e);
 
 /**
  * One fixed-width binary trajectory record: the 10 float columns as
  * canonical f32 (7 before `collisions`, 3 command columns after) and
  * `collisions` as u32, little-endian. 44 bytes vs ~80 bytes/sample
- * measured for real CSV rows (~1.8x smaller).
+ * for the same sample as a CSV row.
  *
  * "Canonical f32" makes the encoding lossless *with respect to the
  * canonical CSV*: each double is first pushed through its 6
@@ -273,7 +262,9 @@ const char *trajectoryEncodingName(TrajectoryEncoding e);
  * that decimal re-read as f32. An f32 sits within 2^-24 ≈ 6e-8
  * relative of the decimal value, far inside the 5e-7 half-step of
  * the 6-digit decimal grid, so printing the f32 back at precision 6
- * reproduces the original CSV cell exactly.
+ * reproduces the original CSV cell exactly: the client renders the
+ * canonical CSV (core::trajectoryCsvString) from the decoded samples
+ * and its FNV-1a equals the golden hash.
  */
 constexpr size_t kTrajectoryBinaryRecordBytes = 44;
 
@@ -282,64 +273,31 @@ float canonicalTrajectoryF32(double v);
 
 /**
  * Encode samples as fixed-width binary records.
- * @throws ProtocolError when a sample's collision count exceeds u32
- * (the record could no longer round-trip the CSV bit-for-bit).
+ * @throws SerdeError when a sample's collision count exceeds u32.
+ * That cannot happen for an admitted spec: maxSimSeconds is at most
+ * 3600 s and a mission records at most one collision per physics
+ * substep.
  */
 std::vector<uint8_t>
 encodeTrajectoryBinary(const std::vector<core::TrajectorySample> &t);
 
 /**
- * Append @p count records starting at @p s to @p out. The building
- * block of encodeTrajectoryBinary, exposed so the server can
- * quantize a stream one chunk at a time instead of stalling its IO
- * loop on a whole multi-megabyte trajectory.
- */
-void encodeTrajectoryBinaryRecords(const core::TrajectorySample *s,
-                                   size_t count,
-                                   std::vector<uint8_t> &out);
-
-/**
  * Decode fixed-width binary records.
- * @throws ProtocolError when @p size is not a whole number of records.
+ * @throws SerdeError when @p size is not a whole number of records.
  */
 std::vector<core::TrajectorySample>
 decodeTrajectoryBinary(const uint8_t *data, size_t size);
 
-/** SubmitOk payload. */
-struct SubmitOkReply
-{
-    uint64_t jobId = 0;
-    /** Jobs ahead of this one in the queue at admission. */
-    uint32_t queuePosition = 0;
-};
-
-/** SubmitRejected payload. */
-struct RejectedReply
-{
-    RejectReason reason = RejectReason::QueueFull;
-    std::string detail;
-};
-
-/** StatusReply payload. */
-struct StatusInfo
-{
-    uint64_t jobId = 0;
-    JobState state = JobState::Unknown;
-    uint32_t queuePosition = 0; ///< only meaningful when Queued
-    double queueWaitMs = 0.0;   ///< admission -> start (so far if Queued)
-    double serviceMs = 0.0;     ///< start -> finish (0 until finished)
-};
+// --------------------------------------------------------------------
+// Payload structs. Each names its MsgType and lists its fields once.
 
 /**
- * A mission result marshalled for the wire. The trajectory's
- * canonical form is the CSV string (core::trajectoryCsvString) — the
- * same bytes the golden-trace tests hash; `trajectoryHash` is its
- * FNV-1a and rides the ResultEnd frame so clients verify reassembly.
- * The server caches the quantized binary records alongside — encoded
- * once at mission end, so a Binary fetch slices ready bytes instead
- * of re-printing every cell through the canonical-f32 quantizer per
- * fetch (at 44 bytes/record the cache is also smaller than the raw
- * samples it replaces).
+ * A mission result marshalled for the wire. `trajectoryHash` is the
+ * FNV-1a of the canonical trajectory CSV (core::trajectoryCsvString,
+ * the bytes the golden-trace tests hash); the server renders that CSV
+ * once at mission end to compute it and keeps only the binary
+ * records. The scalar fields below travel in ResultEnd and in the
+ * journal's Terminal record, both through fields().
  */
 struct ServedResult
 {
@@ -358,80 +316,374 @@ struct ServedResult
     uint64_t simulatedCycles = 0;
     uint32_t trajectorySamples = 0;
     uint32_t degradedIntervals = 0;
-    /** Canonical trajectory CSV (hash target of test_golden.cc).
-     *  Client-side: filled by a Csv fetch; a Binary fetch leaves it
-     *  empty and fills `trajectory` instead — render on demand with
-     *  core::trajectoryCsvString(trajectory), which reproduces these
-     *  bytes exactly (the records are canonical-f32 quantized). */
-    std::string trajectoryCsv;
-    /** FNV-1a of trajectoryCsv (util/hash.hh). */
+    /** FNV-1a of the canonical trajectory CSV (util/hash.hh). */
     uint64_t trajectoryHash = 0;
-    /** Decoded samples (client-side reassembly of a Binary stream
-     *  fills this; the server does not retain raw samples). */
-    std::vector<core::TrajectorySample> trajectory;
-    /** Pre-encoded binary records (server-side Binary stream source;
-     *  empty when the trajectory cannot ride the fixed-width record,
-     *  e.g. a collision count past u32 or a journal-replayed job). */
-    std::vector<uint8_t> trajectoryBinary;
-    /** FNV-1a of trajectoryBinary (0 when the cache is empty);
-     *  Binary streams carry it as ResultEnd.payloadHash. */
-    uint64_t trajectoryBinaryHash = 0;
     /** Server-side queueing telemetry for this job. */
     double queueWaitMs = 0.0;
     double serviceMs = 0.0;
+    /** Decoded samples (client side; the server keeps the records). */
+    std::vector<core::TrajectorySample> trajectory;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.completed, s.status, bounded(s.failureReason, kMaxStringBytes),
+          s.missionTime, s.collisions, s.avgSpeed, s.maxSpeed,
+          s.distanceTravelled, s.inferences, s.avgInferenceLatency,
+          s.energyJoules, s.avgPowerWatts, s.simulatedCycles,
+          s.trajectorySamples, s.degradedIntervals, s.trajectoryHash,
+          s.queueWaitMs, s.serviceMs);
+    }
 };
 
-/** Marshal a core result (trajectory rendered to canonical CSV). */
+/**
+ * Marshal a core result: the scalars, and the hash of the canonical
+ * CSV (rendered here and dropped). The samples travel separately as
+ * encodeTrajectoryBinary() records.
+ */
 ServedResult marshalResult(const core::MissionResult &r);
+
+/** SubmitMission payload: the spec plus an optional idempotency key. */
+struct SubmitRequest
+{
+    static constexpr MsgType kType = MsgType::SubmitMission;
+    uint8_t specCodec = kSpecCodecVersion;
+    /**
+     * Client-chosen retry token. A resubmission carrying a key the
+     * server has already journaled answers with the original job id
+     * instead of enqueueing a duplicate mission. Empty = none.
+     */
+    std::string idempotencyKey;
+    core::MissionSpec spec;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        auto &m = s.spec;
+        auto &x = s.spec.faults;
+        f(ranged(s.specCodec, kSpecCodecVersion, kSpecCodecVersion),
+          bounded(s.idempotencyKey, kMaxIdempotencyKeyBytes),
+          bounded(m.world, kMaxStringBytes),
+          bounded(m.vehicle, kMaxStringBytes),
+          bounded(m.socName, kMaxStringBytes), m.modelDepth, m.velocity,
+          m.initialYawDeg, m.syncGranularity,
+          ranged(m.mode, runtime::RuntimeMode::Static,
+                 runtime::RuntimeMode::Dynamic),
+          m.seed, m.maxSimSeconds, m.degradedMode, x.enabled, x.dropProb,
+          x.corruptProb, x.reorderProb, x.delayProb, x.delayOpsMin,
+          x.delayOpsMax, x.protectSyncPackets, x.seed);
+    }
+};
+
+/** QueryStatus payload. */
+struct StatusRequest
+{
+    static constexpr MsgType kType = MsgType::QueryStatus;
+    uint64_t jobId = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.jobId); }
+};
+
+/** FetchResult payload: job id + resume byte offset. */
+struct FetchRequest
+{
+    static constexpr MsgType kType = MsgType::FetchResult;
+    uint64_t jobId = 0;
+    /**
+     * Payload bytes the client already holds from an interrupted
+     * stream of the same job; the server streams the rest. 0 = full
+     * stream. Must be record-aligned.
+     */
+    uint64_t resumeOffset = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.jobId, s.resumeOffset); }
+};
+
+/** CancelMission payload. */
+struct CancelRequest
+{
+    static constexpr MsgType kType = MsgType::CancelMission;
+    uint64_t jobId = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.jobId); }
+};
+
+/** ServerStats payload (empty). */
+struct StatsRequest
+{
+    static constexpr MsgType kType = MsgType::ServerStats;
+
+    template <class S, class F>
+    static void fields(S &, F &&) {}
+};
+
+/** Shutdown payload. */
+struct ShutdownRequest
+{
+    static constexpr MsgType kType = MsgType::Shutdown;
+    bool drain = true; ///< finish queued jobs before exiting
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.drain); }
+};
+
+/** AckResult payload: releases a fetched result after verification. */
+struct AckRequest
+{
+    static constexpr MsgType kType = MsgType::AckResult;
+    uint64_t jobId = 0;
+    /** FNV-1a of the payload bytes the client reassembled. */
+    uint64_t payloadHash = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.jobId, s.payloadHash); }
+};
+
+/** SubmitOk payload. */
+struct SubmitOkReply
+{
+    static constexpr MsgType kType = MsgType::SubmitOk;
+    uint64_t jobId = 0;
+    /** Jobs ahead of this one in the queue at admission. */
+    uint32_t queuePosition = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(s.jobId, s.queuePosition); }
+};
+
+/** SubmitRejected payload. */
+struct RejectedReply
+{
+    static constexpr MsgType kType = MsgType::SubmitRejected;
+    RejectReason reason = RejectReason::QueueFull;
+    std::string detail;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(ranged(s.reason, RejectReason::QueueFull,
+                 RejectReason::BadRequest),
+          bounded(s.detail, kMaxStringBytes));
+    }
+};
+
+/** StatusReply payload. */
+struct StatusInfo
+{
+    static constexpr MsgType kType = MsgType::StatusReply;
+    uint64_t jobId = 0;
+    JobState state = JobState::Unknown;
+    uint32_t queuePosition = 0; ///< only meaningful when Queued
+    double queueWaitMs = 0.0;   ///< admission -> start (so far if Queued)
+    double serviceMs = 0.0;     ///< start -> finish (0 until finished)
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, ranged(s.state, JobState::Queued, JobState::Unknown),
+          s.queuePosition, s.queueWaitMs, s.serviceMs);
+    }
+};
 
 /** ResultChunk payload: one ordered segment of a result stream. */
 struct ResultChunkData
 {
+    static constexpr MsgType kType = MsgType::ResultChunk;
     uint64_t jobId = 0;
     /** 0-based stream position; chunks arrive strictly sequential. */
     uint32_t seq = 0;
     std::vector<uint8_t> bytes;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, s.seq, bounded(s.bytes, kMaxResultChunkBytes));
+    }
 };
 
 /**
  * ResultEnd payload: closes a result stream. Carries everything
- * except the trajectory payload itself — terminal state, encoding,
- * stream totals for truncation detection, the verification hash, and
- * the scalar result fields.
+ * except the trajectory records themselves — terminal state, stream
+ * totals for truncation detection, the payload hash, and the scalar
+ * result (canonical-CSV hash included).
  */
 struct ResultEndData
 {
+    static constexpr MsgType kType = MsgType::ResultEnd;
     uint64_t jobId = 0;
     /** Terminal lifecycle state (Done or Failed) of the job. */
     JobState state = JobState::Done;
-    TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
     uint32_t chunkCount = 0;
     uint64_t payloadBytes = 0;
-    /** FNV-1a of the canonical trajectory CSV. */
-    uint64_t trajectoryHash = 0;
-    /** FNV-1a of the stream's payload bytes in their wire encoding:
-     *  equals trajectoryHash for a Csv stream (the payload IS the
-     *  canonical CSV) and the binary-record hash for Binary. The
-     *  assembler verifies reassembly against this, so no encoding
-     *  needs a client-side CSV re-render inside the fetch. */
+    /** FNV-1a of the whole stream payload (the binary records). */
     uint64_t payloadHash = 0;
-    /** Scalar fields only; trajectoryCsv/trajectory stay empty. */
+    /** Scalar fields only; `trajectory` stays empty. */
     ServedResult result;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, ranged(s.state, JobState::Done, JobState::Failed),
+          s.chunkCount, s.payloadBytes, s.payloadHash);
+        ServedResult::fields(s.result, f);
+    }
 };
 
 /** Progress payload: a running job's position in simulated time. */
 struct ProgressEvent
 {
+    static constexpr MsgType kType = MsgType::Progress;
     uint64_t jobId = 0;
     double simTimeSeconds = 0.0;
     double maxSimSeconds = 0.0;
     uint64_t samples = 0;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, s.simTimeSeconds, s.maxSimSeconds, s.samples);
+    }
 };
+
+/** What a CancelMission achieved. */
+enum class CancelOutcome : uint8_t
+{
+    Dequeued = 1,    ///< removed from the queue before running
+    TooLate = 2,     ///< already running (missions are not preempted)
+    AlreadyDone = 3, ///< already finished
+    UnknownJob = 4,
+};
+
+/** CancelReply payload. */
+struct CancelInfo
+{
+    static constexpr MsgType kType = MsgType::CancelReply;
+    uint64_t jobId = 0;
+    CancelOutcome outcome = CancelOutcome::UnknownJob;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, ranged(s.outcome, CancelOutcome::Dequeued,
+                          CancelOutcome::UnknownJob));
+    }
+};
+
+/** What an AckResult achieved. */
+enum class AckOutcome : uint8_t
+{
+    Released = 1, ///< hash matched; the server dropped the record
+    /**
+     * No such retained job — also the reply when a reconnect retried
+     * an ack that already landed, so clients treat it as success.
+     */
+    UnknownJob = 2,
+    HashMismatch = 3, ///< client hash ≠ stored hash; record kept
+};
+
+const char *ackOutcomeName(AckOutcome o);
+
+/** AckReply payload. */
+struct AckInfo
+{
+    static constexpr MsgType kType = MsgType::AckReply;
+    uint64_t jobId = 0;
+    AckOutcome outcome = AckOutcome::UnknownJob;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.jobId, ranged(s.outcome, AckOutcome::Released,
+                          AckOutcome::HashMismatch));
+    }
+};
+
+/** StatsReply payload: admission + load-shedding counters. */
+struct ServerStatsData
+{
+    static constexpr MsgType kType = MsgType::StatsReply;
+    uint64_t submitted = 0; ///< SubmitMission requests seen
+    uint64_t accepted = 0;
+    uint64_t completed = 0;
+    uint64_t failed = 0;
+    uint64_t cancelled = 0;
+    uint64_t rejectedQueueFull = 0;
+    uint64_t rejectedClientCap = 0;
+    uint64_t rejectedShutdown = 0;
+    uint64_t malformed = 0; ///< poisoned connections dropped
+    uint32_t queued = 0;    ///< jobs waiting right now
+    uint32_t running = 0;   ///< jobs executing right now
+    uint32_t workers = 0;
+    uint32_t queueCapacity = 0;
+    uint64_t connectionsAccepted = 0;
+    uint32_t connectionsOpen = 0;
+    /** Queue-wait / service-time aggregates over finished jobs [ms]. */
+    double totalQueueWaitMs = 0.0;
+    double maxQueueWaitMs = 0.0;
+    double totalServiceMs = 0.0;
+    double maxServiceMs = 0.0;
+    // Result-stream telemetry.
+    uint64_t streamsStarted = 0;
+    uint64_t streamsCompleted = 0; ///< ResultEnd enqueued
+    uint64_t streamedChunks = 0;
+    uint64_t streamedPayloadBytes = 0;
+    uint64_t progressEvents = 0;
+    /** Bytes currently held by retained terminal results. */
+    uint64_t retainedResultBytes = 0;
+    uint32_t activeStreams = 0; ///< streams mid-flight right now
+    // Durability telemetry.
+    uint64_t dedupedSubmits = 0; ///< idempotency-key hits answered
+    uint64_t journalReplayedJobs = 0; ///< jobs recovered at boot
+    uint64_t warmRestoredJobs = 0; ///< recovered via disk checkpoint
+    uint64_t resultsAcked = 0;     ///< hash-verified releases
+    uint64_t streamsResumed = 0;   ///< fetches with resumeOffset > 0
+
+    template <class S, class F>
+    static void fields(S &s, F &&f)
+    {
+        f(s.submitted, s.accepted, s.completed, s.failed, s.cancelled,
+          s.rejectedQueueFull, s.rejectedClientCap, s.rejectedShutdown,
+          s.malformed, s.queued, s.running, s.workers, s.queueCapacity,
+          s.connectionsAccepted, s.connectionsOpen, s.totalQueueWaitMs,
+          s.maxQueueWaitMs, s.totalServiceMs, s.maxServiceMs,
+          s.streamsStarted, s.streamsCompleted, s.streamedChunks,
+          s.streamedPayloadBytes, s.progressEvents,
+          s.retainedResultBytes, s.activeStreams, s.dedupedSubmits,
+          s.journalReplayedJobs, s.warmRestoredJobs, s.resultsAcked,
+          s.streamsResumed);
+    }
+};
+
+/** ShutdownReply payload (empty). */
+struct ShutdownReply
+{
+    static constexpr MsgType kType = MsgType::ShutdownReply;
+
+    template <class S, class F>
+    static void fields(S &, F &&) {}
+};
+
+/** ErrorReply payload. */
+struct ErrorInfo
+{
+    static constexpr MsgType kType = MsgType::ErrorReply;
+    std::string what;
+
+    template <class S, class F>
+    static void fields(S &s, F &&f) { f(bounded(s.what, kMaxStringBytes)); }
+};
+
+// --------------------------------------------------------------------
+// Result-stream reassembly.
 
 /** A fully reassembled result (ResultStreamAssembler's output). */
 struct ResultData
 {
     uint64_t jobId = 0;
+    /** The scalars plus the decoded trajectory samples. */
     ServedResult result;
     /** Terminal lifecycle state (Done or Failed) of the job. */
     JobState state = JobState::Done;
@@ -448,8 +700,7 @@ struct ResultData
  * every stream invariant — matching job id, strictly sequential
  * chunk seq, bounded accumulation, no frame after ResultEnd, totals
  * and chunk count matching, and the FNV-1a payload hash over the
- * assembled bytes in their wire encoding (so a Binary stream needs
- * no CSV re-render to verify).
+ * assembled bytes.
  */
 class ResultStreamAssembler
 {
@@ -464,7 +715,8 @@ class ResultStreamAssembler
      * @throws ProtocolError on any stream violation, including any
      * frame fed after completion and any non-stream message type
      * (Progress frames are connection-level events — dispatch them
-     * before the assembler, never into it).
+     * before the assembler, never into it); SerdeError on a
+     * malformed frame.
      */
     bool feed(const Message &m);
 
@@ -494,177 +746,6 @@ class ResultStreamAssembler
     bool complete_ = false;
     ResultData result_;
 };
-
-/** What a CancelMission achieved. */
-enum class CancelOutcome : uint8_t
-{
-    Dequeued = 1,    ///< removed from the queue before running
-    TooLate = 2,     ///< already running (missions are not preempted)
-    AlreadyDone = 3, ///< already finished
-    UnknownJob = 4,
-};
-
-/** CancelReply payload. */
-struct CancelInfo
-{
-    uint64_t jobId = 0;
-    CancelOutcome outcome = CancelOutcome::UnknownJob;
-};
-
-/** StatsReply payload: admission + load-shedding counters. */
-struct ServerStatsData
-{
-    uint64_t submitted = 0; ///< SubmitMission requests seen
-    uint64_t accepted = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t cancelled = 0;
-    uint64_t rejectedQueueFull = 0;
-    uint64_t rejectedClientCap = 0;
-    uint64_t rejectedShutdown = 0;
-    uint64_t malformed = 0; ///< poisoned connections dropped
-    uint32_t queued = 0;    ///< jobs waiting right now
-    uint32_t running = 0;   ///< jobs executing right now
-    uint32_t workers = 0;
-    uint32_t queueCapacity = 0;
-    uint64_t connectionsAccepted = 0;
-    uint32_t connectionsOpen = 0;
-    /** Queue-wait / service-time aggregates over finished jobs [ms]. */
-    double totalQueueWaitMs = 0.0;
-    double maxQueueWaitMs = 0.0;
-    double totalServiceMs = 0.0;
-    double maxServiceMs = 0.0;
-    // Result-stream telemetry (protocol 2).
-    uint64_t streamsStarted = 0;
-    uint64_t streamsCompleted = 0; ///< ResultEnd enqueued
-    uint64_t streamedChunks = 0;
-    uint64_t streamedPayloadBytes = 0;
-    uint64_t progressEvents = 0;
-    /** Bytes currently held by retained terminal results. */
-    uint64_t retainedResultBytes = 0;
-    uint32_t activeStreams = 0; ///< streams mid-flight right now
-    // Durability telemetry (protocol 3).
-    uint64_t dedupedSubmits = 0; ///< idempotency-key hits answered
-    uint64_t journalReplayedJobs = 0; ///< jobs recovered at boot
-    uint64_t warmRestoredJobs = 0; ///< recovered via disk checkpoint
-    uint64_t resultsAcked = 0;     ///< hash-verified releases
-    uint64_t streamsResumed = 0;   ///< fetches with resumeOffset > 0
-};
-
-// Requests.
-
-/** SubmitMission payload: the spec plus an optional idempotency key. */
-struct SubmitRequest
-{
-    core::MissionSpec spec;
-    /**
-     * Client-chosen retry token. A resubmission carrying a key the
-     * server has already journaled answers with the original job id
-     * instead of enqueueing a duplicate mission. Empty = none.
-     */
-    std::string idempotencyKey;
-};
-
-Message encodeSubmitMission(const core::MissionSpec &spec,
-                            const std::string &idempotency_key = "");
-SubmitRequest decodeSubmitRequest(const Message &m);
-/** Spec-only view of decodeSubmitRequest (key discarded). */
-core::MissionSpec decodeSubmitMission(const Message &m);
-
-Message encodeQueryStatus(uint64_t job_id);
-uint64_t decodeQueryStatus(const Message &m);
-
-/** FetchResult payload: job id + encoding + resume byte offset. */
-struct FetchRequest
-{
-    uint64_t jobId = 0;
-    TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
-    /**
-     * Payload bytes the client already holds from an interrupted
-     * stream of the same job + encoding; the server streams the rest.
-     * 0 = full stream. Binary resumes must be record-aligned.
-     */
-    uint64_t resumeOffset = 0;
-};
-
-Message encodeFetchResult(
-    uint64_t job_id,
-    TrajectoryEncoding enc = TrajectoryEncoding::Csv,
-    uint64_t resume_offset = 0);
-FetchRequest decodeFetchResult(const Message &m);
-
-/** AckResult payload: releases a fetched result after verification. */
-struct AckRequest
-{
-    uint64_t jobId = 0;
-    /** FNV-1a of the canonical CSV the client reassembled. */
-    uint64_t trajectoryHash = 0;
-};
-
-Message encodeAckResult(uint64_t job_id, uint64_t trajectory_hash);
-AckRequest decodeAckResult(const Message &m);
-
-Message encodeCancelMission(uint64_t job_id);
-uint64_t decodeCancelMission(const Message &m);
-
-Message encodeServerStats();
-
-Message encodeShutdown(bool drain);
-bool decodeShutdown(const Message &m);
-
-// Responses.
-Message encodeSubmitOk(const SubmitOkReply &r);
-SubmitOkReply decodeSubmitOk(const Message &m);
-
-Message encodeRejected(const RejectedReply &r);
-RejectedReply decodeRejected(const Message &m);
-
-Message encodeStatusReply(const StatusInfo &s);
-StatusInfo decodeStatusReply(const Message &m);
-
-Message encodeResultChunk(const ResultChunkData &c);
-ResultChunkData decodeResultChunk(const Message &m);
-
-Message encodeResultEnd(const ResultEndData &e);
-ResultEndData decodeResultEnd(const Message &m);
-
-Message encodeProgress(const ProgressEvent &p);
-ProgressEvent decodeProgress(const Message &m);
-
-Message encodeCancelReply(const CancelInfo &c);
-CancelInfo decodeCancelReply(const Message &m);
-
-/** What an AckResult achieved. */
-enum class AckOutcome : uint8_t
-{
-    Released = 1, ///< hash matched; the server dropped the record
-    /**
-     * No such retained job — also the reply when a reconnect retried
-     * an ack that already landed, so clients treat it as success.
-     */
-    UnknownJob = 2,
-    HashMismatch = 3, ///< client hash ≠ stored hash; record kept
-};
-
-const char *ackOutcomeName(AckOutcome o);
-
-/** AckReply payload. */
-struct AckInfo
-{
-    uint64_t jobId = 0;
-    AckOutcome outcome = AckOutcome::UnknownJob;
-};
-
-Message encodeAckReply(const AckInfo &a);
-AckInfo decodeAckReply(const Message &m);
-
-Message encodeStatsReply(const ServerStatsData &s);
-ServerStatsData decodeStatsReply(const Message &m);
-
-Message encodeShutdownReply();
-
-Message encodeErrorReply(const std::string &what);
-std::string decodeErrorReply(const Message &m);
 
 } // namespace rose::serve
 

@@ -5,27 +5,34 @@
  *   rose_client --port N submit [spec flags] [--wait]
  *                               [--idem-key K] [--job-file P]
  *   rose_client --port N status JOB
- *   rose_client --port N fetch JOB [--csv PATH] [--binary]
+ *   rose_client --port N fetch JOB [--csv PATH]
  *   rose_client --port N cancel JOB
  *   rose_client --port N verify JOB [spec flags]
  *   rose_client --port N stats
  *   rose_client --port N shutdown [--no-drain]
  *   rose_client --port N smoke [--clients 4] [--missions 8]
+ *                              [--sim-seconds T]
  *   rose_client --port N stream-smoke [--sim-seconds T]
  *                                     [--sync-granularity N]
  *                                     [--min-bytes B]
  *
+ * Every command line is parsed in full before the client dials: an
+ * unknown option, a missing option value or a missing job id exits
+ * 2 with usage.
+ *
  * `submit --wait` and `fetch` print server-pushed progress events
  * (simulated seconds so far) to stderr while the mission runs, and
  * exit 1 (printing the journaled failureReason) when the mission
- * terminal state is Failed. `--idem-key` makes the submission safe
- * to retry across daemon restarts (the resubmit lands on the same
- * job); `--job-file` writes the bare job id for scripts. `verify`
- * fetches a finished job AND runs the same spec locally, exiting 0
- * only when the two trajectory FNV-1a hashes are bit-identical —
- * the crash-recovery chaos check in CI is built on it. The global
- * `--reconnect` flag turns on transparent redial with capped
- * backoff + jitter and resumable result streams.
+ * terminal state is Failed. `fetch --csv` writes the canonical
+ * trajectory CSV, rendered here from the fetched samples.
+ * `--idem-key` makes the submission safe to retry across daemon
+ * restarts (the resubmit lands on the same job); `--job-file` writes
+ * the bare job id for scripts. `verify` fetches a finished job AND
+ * runs the same spec locally, exiting 0 only when the two trajectory
+ * FNV-1a hashes are bit-identical — the crash-recovery chaos check
+ * in CI is built on it. The global `--reconnect` flag turns on
+ * transparent redial with capped backoff + jitter and resumable
+ * result streams.
  *
  * `smoke` is the end-to-end acceptance check used by CI: it fans out
  * concurrent clients (core::parallelIndexed), submits the canonical
@@ -35,10 +42,10 @@
  *
  * `stream-smoke` is the long-mission streaming check: it submits one
  * mission whose trajectory CSV exceeds --min-bytes (default 8 MiB —
- * larger than any single protocol frame, so it necessarily crosses
- * many ResultChunk frames), fetches it in both CSV and binary
- * encodings, and verifies each reassembled trajectory hashes
- * bit-identically to the local runMission() of the same spec.
+ * larger than any single protocol frame, so the stream necessarily
+ * crosses many ResultChunk frames), fetches it, and verifies the
+ * rendered trajectory hashes bit-identically to the local
+ * runMission() of the same spec.
  */
 
 #include <chrono>
@@ -72,10 +79,10 @@ usage(const char *argv0)
         "commands:\n"
         "  submit [--world W --vehicle V --soc S --depth D --velocity"
         " X\n"
-        "          --yaw DEG --seed N --sim-seconds T --dynamic\n"
-        "          --degraded] [--wait] [--idem-key K] [--job-file P]\n"
-        "  status JOB | fetch JOB [--csv PATH] [--binary] | cancel "
-        "JOB\n"
+        "          --yaw DEG --seed N --sim-seconds T\n"
+        "          --sync-granularity N --dynamic --degraded]\n"
+        "         [--wait] [--idem-key K] [--job-file P]\n"
+        "  status JOB | fetch JOB [--csv PATH] | cancel JOB\n"
         "  verify JOB [spec flags]   (fetch + local re-run, compare "
         "hashes)\n"
         "  stats | shutdown [--no-drain]\n"
@@ -96,8 +103,11 @@ printProgress(const serve::ProgressEvent &p)
                  p.samples);
 }
 
+/** Print a fetched result; @p csv is its client-rendered canonical
+ *  trajectory CSV. */
 void
-printResult(uint64_t job_id, const serve::ServedResult &r)
+printResult(uint64_t job_id, const serve::ServedResult &r,
+            const std::string &csv)
 {
     std::printf("job %" PRIu64 ": %s%s%s\n", job_id,
                 r.completed ? "completed" : "did not complete",
@@ -113,7 +123,7 @@ printResult(uint64_t job_id, const serve::ServedResult &r)
     std::printf("  queue_wait=%.1f ms service=%.1f ms samples=%u "
                 "trajectory_fnv1a=0x%016" PRIx64 "\n",
                 r.queueWaitMs, r.serviceMs, r.trajectorySamples,
-                fnv1a(r.trajectoryCsv));
+                fnv1a(csv));
 }
 
 /** Consume one mission-spec flag at argv[i]; true when recognized. */
@@ -224,7 +234,8 @@ runSmoke(const std::string &host, uint16_t port, int timeout_ms,
             for (auto [id, soc] : jobs) {
                 serve::ServedResult r =
                     client.waitResult(id, timeout_ms);
-                uint64_t served = fnv1a(r.trajectoryCsv);
+                uint64_t served =
+                    fnv1a(core::trajectoryCsvString(r.trajectory));
                 uint64_t expect = localHash.at(soc);
                 std::lock_guard<std::mutex> lk(mu);
                 if (served != expect) {
@@ -295,43 +306,130 @@ runStreamSmoke(const std::string &host, uint16_t port, int timeout_ms,
         printProgress(p);
     });
 
-    static const serve::TrajectoryEncoding kEncodings[] = {
-        serve::TrajectoryEncoding::Csv,
-        serve::TrajectoryEncoding::Binary};
-    for (serve::TrajectoryEncoding enc : kEncodings) {
-        serve::SubmitOutcome out = client.submit(spec);
-        if (!out.accepted) {
-            std::fprintf(stderr, "stream-smoke: submit shed: %s\n",
-                         out.detail.c_str());
-            return 1;
-        }
-        serve::ServedResult r =
-            client.waitResult(out.jobId, timeout_ms, 10, enc);
-        // A Binary fetch delivers decoded samples, not CSV; render
-        // the canonical CSV here so the golden-hash comparison below
-        // proves both encodings carry bit-identical trajectories.
-        std::string servedCsv =
-            !r.trajectoryCsv.empty()
-                ? std::move(r.trajectoryCsv)
-                : core::trajectoryCsvString(r.trajectory);
-        uint64_t served = fnv1a(servedCsv);
-        std::printf("stream-smoke: job %" PRIu64 " (%s) %zu bytes, "
-                    "fnv1a 0x%016" PRIx64 "\n",
-                    out.jobId, serve::trajectoryEncodingName(enc),
-                    servedCsv.size(), served);
-        if (served != expect) {
-            std::fprintf(stderr,
-                         "stream-smoke: HASH MISMATCH (%s): served "
-                         "0x%016" PRIx64 " local 0x%016" PRIx64 "\n",
-                         serve::trajectoryEncodingName(enc), served,
-                         expect);
-            return 1;
-        }
+    serve::SubmitOutcome out = client.submit(spec);
+    if (!out.accepted) {
+        std::fprintf(stderr, "stream-smoke: submit shed: %s\n",
+                     out.detail.c_str());
+        return 1;
+    }
+    serve::ServedResult r = client.waitResult(out.jobId, timeout_ms);
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    uint64_t served = fnv1a(servedCsv);
+    std::printf("stream-smoke: job %" PRIu64 " %zu bytes, fnv1a "
+                "0x%016" PRIx64 "\n",
+                out.jobId, servedCsv.size(), served);
+    if (served != expect) {
+        std::fprintf(stderr,
+                     "stream-smoke: HASH MISMATCH: served 0x%016" PRIx64
+                     " local 0x%016" PRIx64 "\n",
+                     served, expect);
+        return 1;
     }
     std::printf("stream-smoke: %zu-byte trajectory streamed "
-                "bit-identically in both encodings (%" PRIu64
-                " progress events)\n",
+                "bit-identically (%" PRIu64 " progress events)\n",
                 localCsv.size(), progressSeen);
+    return 0;
+}
+
+/** Everything a command line asks for, parsed before dialing. */
+struct Command
+{
+    std::string name;
+    uint64_t job = 0;
+    core::MissionSpec spec;
+    bool wait = false;
+    std::string idemKey, jobFile, csvPath;
+    bool drain = true;
+    int clients = 4, missions = 8;
+    double simSeconds = 0.0;
+    uint64_t syncGranularity = 20000;
+    size_t minBytes = 8 * 1024 * 1024;
+};
+
+/**
+ * Parse a subcommand and its options from argv[i..). Returns false on
+ * an unknown command or option, a missing value, or a missing job id.
+ */
+bool
+parseCommand(int argc, char **argv, int i, Command &c)
+{
+    c.name = argv[i++];
+    const std::string &n = c.name;
+    bool takesJob = n == "status" || n == "fetch" || n == "cancel" ||
+                    n == "verify";
+    if (!takesJob && n != "submit" && n != "stats" && n != "shutdown" &&
+        n != "smoke" && n != "stream-smoke") {
+        std::fprintf(stderr, "unknown command: %s\n", n.c_str());
+        return false;
+    }
+    if (takesJob) {
+        if (i >= argc || argv[i][0] == '-') {
+            std::fprintf(stderr, "%s requires a job id\n", n.c_str());
+            return false;
+        }
+        c.job = uint64_t(std::atoll(argv[i++]));
+    }
+    c.simSeconds = n == "smoke" ? 10.0 : 2.2;
+    for (; i < argc; ++i) {
+        std::string arg = argv[i];
+        bool hasValue = i + 1 < argc;
+        if ((n == "submit" || n == "verify") &&
+            parseSpecFlag(c.spec, argc, argv, i))
+            continue;
+        if (n == "submit" && arg == "--wait")
+            c.wait = true;
+        else if (n == "submit" && arg == "--idem-key" && hasValue)
+            c.idemKey = argv[++i];
+        else if (n == "submit" && arg == "--job-file" && hasValue)
+            c.jobFile = argv[++i];
+        else if (n == "fetch" && arg == "--csv" && hasValue)
+            c.csvPath = argv[++i];
+        else if (n == "shutdown" && arg == "--no-drain")
+            c.drain = false;
+        else if (n == "smoke" && arg == "--clients" && hasValue)
+            c.clients = std::atoi(argv[++i]);
+        else if (n == "smoke" && arg == "--missions" && hasValue)
+            c.missions = std::atoi(argv[++i]);
+        else if ((n == "smoke" || n == "stream-smoke") &&
+                 arg == "--sim-seconds" && hasValue)
+            c.simSeconds = std::atof(argv[++i]);
+        else if (n == "stream-smoke" && arg == "--sync-granularity" &&
+                 hasValue)
+            c.syncGranularity = uint64_t(std::atoll(argv[++i]));
+        else if (n == "stream-smoke" && arg == "--min-bytes" && hasValue)
+            c.minBytes = size_t(std::atoll(argv[++i]));
+        else {
+            std::fprintf(stderr, "%s: unknown option %s\n", n.c_str(),
+                         arg.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Fetch @p job, wait for it, and print it; exit status of a fetch. */
+int
+runFetch(serve::ServeClient &client, const Command &c, int timeout_ms)
+{
+    serve::JobState state = serve::JobState::Unknown;
+    serve::ServedResult r = client.waitResult(c.job, timeout_ms, 10,
+                                              &state);
+    std::string csv = core::trajectoryCsvString(r.trajectory);
+    printResult(c.job, r, csv);
+    if (!c.csvPath.empty()) {
+        std::FILE *f = std::fopen(c.csvPath.c_str(), "wb");
+        if (!f) {
+            std::fprintf(stderr, "cannot write %s\n", c.csvPath.c_str());
+            return 1;
+        }
+        std::fwrite(csv.data(), 1, csv.size(), f);
+        std::fclose(f);
+    }
+    if (state == serve::JobState::Failed) {
+        std::fprintf(stderr, "job %" PRIu64 " FAILED: %s\n", c.job,
+                     r.failureReason.c_str());
+        return 1;
+    }
     return 0;
 }
 
@@ -366,42 +464,20 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    std::string cmd = argv[i++];
+    Command c;
+    if (!parseCommand(argc, argv, i, c)) {
+        usage(argv[0]);
+        return 2;
+    }
+    const std::string &cmd = c.name;
 
     try {
-        if (cmd == "smoke") {
-            int clients = 4, missions = 8;
-            double sim_seconds = 10.0;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--clients" && i + 1 < argc)
-                    clients = std::atoi(argv[++i]);
-                else if (arg == "--missions" && i + 1 < argc)
-                    missions = std::atoi(argv[++i]);
-                else if (arg == "--sim-seconds" && i + 1 < argc)
-                    sim_seconds = std::atof(argv[++i]);
-            }
-            return runSmoke(host, port, timeout_ms, clients, missions,
-                            sim_seconds);
-        }
-
-        if (cmd == "stream-smoke") {
-            double sim_seconds = 2.2;
-            uint64_t sync_granularity = 20000;
-            size_t min_bytes = 8 * 1024 * 1024;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--sim-seconds" && i + 1 < argc)
-                    sim_seconds = std::atof(argv[++i]);
-                else if (arg == "--sync-granularity" && i + 1 < argc)
-                    sync_granularity =
-                        uint64_t(std::atoll(argv[++i]));
-                else if (arg == "--min-bytes" && i + 1 < argc)
-                    min_bytes = size_t(std::atoll(argv[++i]));
-            }
-            return runStreamSmoke(host, port, timeout_ms, sim_seconds,
-                                  sync_granularity, min_bytes);
-        }
+        if (cmd == "smoke")
+            return runSmoke(host, port, timeout_ms, c.clients, c.missions,
+                            c.simSeconds);
+        if (cmd == "stream-smoke")
+            return runStreamSmoke(host, port, timeout_ms, c.simSeconds,
+                                  c.syncGranularity, c.minBytes);
 
         serve::ServeClient client(port, host, timeout_ms);
         client.onProgress(printProgress);
@@ -409,21 +485,7 @@ main(int argc, char **argv)
             client.enableReconnect();
 
         if (cmd == "submit") {
-            core::MissionSpec spec;
-            bool wait = false;
-            std::string idemKey, jobFile;
-            for (; i < argc; ++i) {
-                if (parseSpecFlag(spec, argc, argv, i))
-                    continue;
-                std::string arg = argv[i];
-                if (arg == "--wait")
-                    wait = true;
-                else if (arg == "--idem-key" && i + 1 < argc)
-                    idemKey = argv[++i];
-                else if (arg == "--job-file" && i + 1 < argc)
-                    jobFile = argv[++i];
-            }
-            serve::SubmitOutcome out = client.submit(spec, idemKey);
+            serve::SubmitOutcome out = client.submit(c.spec, c.idemKey);
             if (!out.accepted) {
                 std::fprintf(stderr, "rejected (%s): %s\n",
                              serve::rejectReasonName(out.reason),
@@ -433,128 +495,71 @@ main(int argc, char **argv)
             std::printf("accepted: job %" PRIu64
                         " (queue position %u)\n",
                         out.jobId, out.queuePosition);
-            if (!jobFile.empty()) {
-                std::FILE *f = std::fopen(jobFile.c_str(), "w");
+            if (!c.jobFile.empty()) {
+                std::FILE *f = std::fopen(c.jobFile.c_str(), "w");
                 if (!f) {
                     std::fprintf(stderr, "cannot write %s\n",
-                                 jobFile.c_str());
+                                 c.jobFile.c_str());
                     return 1;
                 }
                 std::fprintf(f, "%" PRIu64 "\n", out.jobId);
                 std::fclose(f);
             }
-            if (wait) {
-                serve::JobState state = serve::JobState::Unknown;
-                serve::ServedResult r = client.waitResult(
-                    out.jobId, timeout_ms, 10,
-                    serve::TrajectoryEncoding::Csv, &state);
-                printResult(out.jobId, r);
-                if (state == serve::JobState::Failed) {
-                    std::fprintf(stderr,
-                                 "job %" PRIu64 " FAILED: %s\n",
-                                 out.jobId,
-                                 r.failureReason.c_str());
-                    return 1;
-                }
-            }
-            return 0;
+            if (!c.wait)
+                return 0;
+            c.job = out.jobId;
+            return runFetch(client, c, timeout_ms);
         }
 
+        if (cmd == "fetch")
+            return runFetch(client, c, timeout_ms);
+
         if (cmd == "verify") {
-            if (i >= argc) {
-                std::fprintf(stderr, "verify requires a job id\n");
-                return 2;
-            }
-            uint64_t job = uint64_t(std::atoll(argv[i++]));
-            core::MissionSpec spec;
-            for (; i < argc; ++i)
-                parseSpecFlag(spec, argc, argv, i);
             serve::JobState state = serve::JobState::Unknown;
-            serve::ServedResult r = client.waitResult(
-                job, timeout_ms, 10, serve::TrajectoryEncoding::Csv,
-                &state);
+            serve::ServedResult r =
+                client.waitResult(c.job, timeout_ms, 10, &state);
             if (state == serve::JobState::Failed) {
                 std::fprintf(stderr,
                              "verify: job %" PRIu64 " FAILED: %s\n",
-                             job, r.failureReason.c_str());
+                             c.job, r.failureReason.c_str());
                 return 1;
             }
-            uint64_t served = fnv1a(r.trajectoryCsv);
-            core::MissionResult local = core::runMission(spec);
+            uint64_t served =
+                fnv1a(core::trajectoryCsvString(r.trajectory));
+            core::MissionResult local = core::runMission(c.spec);
             uint64_t expect = fnv1a(core::trajectoryCsvString(local));
             std::printf("verify: job %" PRIu64 " served "
                         "0x%016" PRIx64 " local 0x%016" PRIx64 "\n",
-                        job, served, expect);
+                        c.job, served, expect);
             if (served != expect) {
                 std::fprintf(stderr,
                              "verify: HASH MISMATCH for job %" PRIu64
                              "\n",
-                             job);
+                             c.job);
                 return 1;
             }
             std::printf("verify: bit-identical\n");
             return 0;
         }
 
-        if (cmd == "status" || cmd == "fetch" || cmd == "cancel") {
-            if (i >= argc) {
-                std::fprintf(stderr, "%s requires a job id\n",
-                             cmd.c_str());
-                return 2;
-            }
-            uint64_t job = uint64_t(std::atoll(argv[i++]));
-            if (cmd == "status") {
-                serve::StatusInfo s = client.status(job);
-                std::printf("job %" PRIu64 ": %s (queue_pos=%u "
-                            "queue_wait=%.1fms service=%.1fms)\n",
-                            s.jobId, serve::jobStateName(s.state),
-                            s.queuePosition, s.queueWaitMs,
-                            s.serviceMs);
-                return 0;
-            }
-            if (cmd == "cancel") {
-                serve::CancelInfo c = client.cancel(job);
-                static const char *kOutcomes[] = {
-                    "?", "dequeued", "too_late", "already_done",
-                    "unknown_job"};
-                std::printf("job %" PRIu64 ": %s\n", c.jobId,
-                            kOutcomes[uint8_t(c.outcome)]);
-                return c.outcome ==
-                               serve::CancelOutcome::UnknownJob
-                           ? 1
-                           : 0;
-            }
-            std::string csvPath;
-            serve::TrajectoryEncoding enc =
-                serve::TrajectoryEncoding::Csv;
-            for (; i < argc; ++i) {
-                std::string arg = argv[i];
-                if (arg == "--csv" && i + 1 < argc)
-                    csvPath = argv[++i];
-                else if (arg == "--binary")
-                    enc = serve::TrajectoryEncoding::Binary;
-            }
-            serve::JobState state = serve::JobState::Unknown;
-            serve::ServedResult r =
-                client.waitResult(job, timeout_ms, 10, enc, &state);
-            printResult(job, r);
-            if (!csvPath.empty()) {
-                std::FILE *f = std::fopen(csvPath.c_str(), "wb");
-                if (!f) {
-                    std::fprintf(stderr, "cannot write %s\n",
-                                 csvPath.c_str());
-                    return 1;
-                }
-                std::fwrite(r.trajectoryCsv.data(), 1,
-                            r.trajectoryCsv.size(), f);
-                std::fclose(f);
-            }
-            if (state == serve::JobState::Failed) {
-                std::fprintf(stderr, "job %" PRIu64 " FAILED: %s\n",
-                             job, r.failureReason.c_str());
-                return 1;
-            }
+        if (cmd == "status") {
+            serve::StatusInfo s = client.status(c.job);
+            std::printf("job %" PRIu64 ": %s (queue_pos=%u "
+                        "queue_wait=%.1fms service=%.1fms)\n",
+                        s.jobId, serve::jobStateName(s.state),
+                        s.queuePosition, s.queueWaitMs, s.serviceMs);
             return 0;
+        }
+
+        if (cmd == "cancel") {
+            serve::CancelInfo ci = client.cancel(c.job);
+            static const char *kOutcomes[] = {
+                "?", "dequeued", "too_late", "already_done",
+                "unknown_job"};
+            std::printf("job %" PRIu64 ": %s\n", ci.jobId,
+                        kOutcomes[uint8_t(ci.outcome)]);
+            return ci.outcome == serve::CancelOutcome::UnknownJob ? 1
+                                                                  : 0;
         }
 
         if (cmd == "stats") {
@@ -584,20 +589,10 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (cmd == "shutdown") {
-            bool drain = true;
-            for (; i < argc; ++i)
-                if (std::string(argv[i]) == "--no-drain")
-                    drain = false;
-            client.shutdownServer(drain);
-            std::printf("shutdown requested (%s)\n",
-                        drain ? "drain" : "immediate");
-            return 0;
-        }
-
-        std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-        usage(argv[0]);
-        return 2;
+        client.shutdownServer(c.drain);
+        std::printf("shutdown requested (%s)\n",
+                    c.drain ? "drain" : "immediate");
+        return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rose_client: %s\n", e.what());
         return 1;

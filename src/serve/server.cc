@@ -37,46 +37,24 @@ msBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-} // namespace
-
 /** Bytes a retained terminal job pins in memory (payload only). */
-static uint64_t
-jobRetainedBytes(const ServedResult *r)
+uint64_t
+jobRetainedBytes(const RetainedResult *r)
 {
     if (!r)
         return 0;
-    return uint64_t(r->trajectoryCsv.size()) +
-           uint64_t(r->trajectoryBinary.size()) +
-           uint64_t(r->trajectory.size()) *
-               sizeof(core::TrajectorySample) +
-           uint64_t(r->failureReason.size());
+    return uint64_t(r->records.size()) +
+           uint64_t(r->result.failureReason.size());
 }
 
-/** Scalar-only copy of a result (no CSV / sample payload). */
-static ServedResult
-scalarResult(const ServedResult &r)
+/** An ErrorReply, its text cut to the wire bound. */
+Message
+errorReply(const std::string &what)
 {
-    ServedResult s;
-    s.completed = r.completed;
-    s.status = r.status;
-    s.failureReason = r.failureReason;
-    s.missionTime = r.missionTime;
-    s.collisions = r.collisions;
-    s.avgSpeed = r.avgSpeed;
-    s.maxSpeed = r.maxSpeed;
-    s.distanceTravelled = r.distanceTravelled;
-    s.inferences = r.inferences;
-    s.avgInferenceLatency = r.avgInferenceLatency;
-    s.energyJoules = r.energyJoules;
-    s.avgPowerWatts = r.avgPowerWatts;
-    s.simulatedCycles = r.simulatedCycles;
-    s.trajectorySamples = r.trajectorySamples;
-    s.degradedIntervals = r.degradedIntervals;
-    s.trajectoryHash = r.trajectoryHash;
-    s.queueWaitMs = r.queueWaitMs;
-    s.serviceMs = r.serviceMs;
-    return s;
+    return encode(ErrorInfo{what.substr(0, kMaxStringBytes)});
 }
+
+} // namespace
 
 MissionServer::MissionServer(const ServerConfig &cfg)
     : cfg_(cfg), listener_(cfg.port)
@@ -87,10 +65,13 @@ MissionServer::MissionServer(const ServerConfig &cfg)
         cfg_.maxQueueDepth = 1;
     if (cfg_.maxRetainedResults < 1)
         cfg_.maxRetainedResults = 1;
-    if (cfg_.resultChunkBytes < 1)
-        cfg_.resultChunkBytes = 1;
-    if (cfg_.resultChunkBytes > kMaxResultChunkBytes)
-        cfg_.resultChunkBytes = kMaxResultChunkBytes;
+    // Chunks hold whole records, so a resumed stream slices the same
+    // record-aligned byte sequence as the first attempt.
+    cfg_.resultChunkBytes =
+        std::max<size_t>(1, std::min(cfg_.resultChunkBytes,
+                                     kMaxResultChunkBytes) /
+                                kTrajectoryBinaryRecordBytes) *
+        kTrajectoryBinaryRecordBytes;
     if (cfg_.streamBacklogBytes < 1)
         cfg_.streamBacklogBytes = 1;
     counters_.workers = uint32_t(cfg_.workers);
@@ -129,10 +110,10 @@ MissionServer::MissionServer(const ServerConfig &cfg)
         counters_.journalReplayedJobs++;
         if (rj.terminal) {
             job.state = rj.state;
-            job.queueWaitMs = rj.result.queueWaitMs;
-            job.serviceMs = rj.result.serviceMs;
+            job.queueWaitMs = rj.result.result.queueWaitMs;
+            job.serviceMs = rj.result.result.serviceMs;
             if (rj.state != JobState::Cancelled)
-                job.result = std::make_shared<const ServedResult>(
+                job.result = std::make_shared<const RetainedResult>(
                     std::move(rj.result));
             jobs_.emplace(id, std::move(job));
             markTerminalLocked(id);
@@ -315,6 +296,7 @@ MissionServer::workerLoop(size_t)
         // runMission(), which is what makes served results hash equal
         // to local ones.
         core::MissionResult result;
+        RetainedResult retained;
         bool threw = false;
         bool warm_restored = false;
         std::string why;
@@ -373,20 +355,24 @@ MissionServer::workerLoop(size_t)
                 core::CoSimulation sim(ccfg);
                 result = sim.run();
             }
+            // The canonical CSV is rendered once here, for its hash;
+            // fetches stream the binary records.
+            retained.result = marshalResult(result);
+            retained.records = encodeTrajectoryBinary(result.trajectory);
         } catch (const std::exception &e) {
             threw = true;
             why = e.what();
         }
-        ServedResult served;
-        if (!threw) {
-            served = marshalResult(result);
-        } else {
-            served.failureReason = why;
-            served.trajectoryHash = fnv1a(served.trajectoryCsv);
+        if (threw) {
+            retained = RetainedResult{};
+            retained.result.failureReason = why.substr(0, kMaxStringBytes);
+            retained.result.trajectoryHash = fnv1a(std::string_view{});
         }
+        retained.recordsHash =
+            fnv1a(retained.records.data(), retained.records.size());
         double service_ms = msBetween(started, Clock::now());
-        served.queueWaitMs = queue_wait_ms;
-        served.serviceMs = service_ms;
+        retained.result.queueWaitMs = queue_wait_ms;
+        retained.result.serviceMs = service_ms;
         JobState terminal_state =
             threw ? JobState::Failed : JobState::Done;
 
@@ -399,7 +385,7 @@ MissionServer::workerLoop(size_t)
         if (journal_) {
             try {
                 journal_->appendTerminal(job_id, terminal_state,
-                                         served);
+                                         retained);
                 journal_->removeCheckpoint(job_id);
             } catch (const JournalError &e) {
                 rose_warn("rosed journal append failed for job ",
@@ -412,8 +398,8 @@ MissionServer::workerLoop(size_t)
             Job &job = jobs_[job_id];
             job.serviceMs = service_ms;
             job.state = terminal_state;
-            job.result = std::make_shared<const ServedResult>(
-                std::move(served));
+            job.result = std::make_shared<const RetainedResult>(
+                std::move(retained));
             if (threw)
                 counters_.failed++;
             else
@@ -687,7 +673,7 @@ MissionServer::pumpStream(Connection &conn)
     ResultStream &st = *conn.stream;
     while (!conn.dead && conn.pendingTx() < cfg_.streamBacklogBytes) {
         if (st.offset >= st.totalBytes) {
-            sendMessage(conn, encodeResultEnd(st.end));
+            sendMessage(conn, encode(st.end));
             conn.stream.reset();
             std::lock_guard<std::mutex> lk(mu_);
             counters_.streamsCompleted++;
@@ -695,33 +681,16 @@ MissionServer::pumpStream(Connection &conn)
                 activeStreams_--;
             return;
         }
+        // Slice the records encoded once at mission end.
         ResultChunkData c;
         c.jobId = st.end.jobId;
         c.seq = st.seq++;
-        if (st.encoding == TrajectoryEncoding::Csv) {
-            size_t n = size_t(std::min<uint64_t>(
-                cfg_.resultChunkBytes, st.totalBytes - st.offset));
-            const uint8_t *base =
-                reinterpret_cast<const uint8_t *>(
-                    st.src->trajectoryCsv.data()) +
-                st.offset;
-            c.bytes.assign(base, base + n);
-        } else {
-            // Slice the binary payload quantized once at mission end
-            // (marshalResult); chunks stay record-aligned so a
-            // resumed stream's byte sequence is identical.
-            size_t per_chunk = std::max<size_t>(
-                1, cfg_.resultChunkBytes /
-                       kTrajectoryBinaryRecordBytes) *
-                kTrajectoryBinaryRecordBytes;
-            size_t n = size_t(std::min<uint64_t>(
-                per_chunk, st.totalBytes - st.offset));
-            const uint8_t *base =
-                st.src->trajectoryBinary.data() + st.offset;
-            c.bytes.assign(base, base + n);
-        }
-        st.offset += c.bytes.size();
-        sendMessage(conn, encodeResultChunk(c));
+        size_t n = size_t(std::min<uint64_t>(cfg_.resultChunkBytes,
+                                             st.totalBytes - st.offset));
+        const uint8_t *base = st.src->records.data() + st.offset;
+        c.bytes.assign(base, base + n);
+        st.offset += n;
+        sendMessage(conn, encode(c));
         std::lock_guard<std::mutex> lk(mu_);
         counters_.streamedChunks++;
         counters_.streamedPayloadBytes += c.bytes.size();
@@ -755,7 +724,7 @@ MissionServer::flushProgress()
             // dispatches them before its assembler); a job that is
             // streaming is terminal, so its own stream can never
             // see its own Progress.
-            sendMessage(*c, encodeProgress(ev));
+            sendMessage(*c, encode(ev));
             pushed++;
             break;
         }
@@ -786,23 +755,18 @@ MissionServer::handleRequest(Connection &conn, const Message &req)
           case MsgType::Shutdown:
             return handleShutdown(req);
           default:
-            return encodeErrorReply(
-                std::string("unhandled request type ") +
-                msgTypeName(req.type));
+            return errorReply(std::string("unhandled request type ") +
+                              msgTypeName(req.type));
         }
-    } catch (const ProtocolError &e) {
-        return encodeErrorReply(std::string("bad request: ") +
-                                e.what());
-    } catch (const bridge::PayloadError &e) {
-        return encodeErrorReply(std::string("bad request: ") +
-                                e.what());
+    } catch (const SerdeError &e) {
+        return errorReply(std::string("bad request: ") + e.what());
     }
 }
 
 Message
 MissionServer::handleSubmit(Connection &conn, const Message &req)
 {
-    SubmitRequest sreq = decodeSubmitRequest(req);
+    SubmitRequest sreq = decode<SubmitRequest>(req);
     core::MissionSpec &spec = sreq.spec;
 
     // Cheap semantic validation up front: a spec that cannot run
@@ -812,7 +776,7 @@ MissionServer::handleSubmit(Connection &conn, const Message &req)
     auto bad = [&](const std::string &why) {
         std::lock_guard<std::mutex> lk(mu_);
         counters_.submitted++;
-        return encodeRejected({RejectReason::BadRequest, why});
+        return encode(RejectedReply{RejectReason::BadRequest, why});
     };
     if (spec.modelDepth < 1 || spec.modelDepth > 64)
         return bad("modelDepth out of range [1,64]");
@@ -840,29 +804,29 @@ MissionServer::handleSubmit(Connection &conn, const Message &req)
             for (size_t i = 0; i < queue_.size(); ++i)
                 if (queue_[i] == ok.jobId)
                     ok.queuePosition = uint32_t(i);
-            return encodeSubmitOk(ok);
+            return encode(ok);
         }
     }
 
     if (shuttingDown_) {
         counters_.rejectedShutdown++;
-        return encodeRejected(
-            {RejectReason::ShuttingDown, "daemon is shutting down"});
+        return encode(RejectedReply{RejectReason::ShuttingDown,
+                                    "daemon is shutting down"});
     }
     if (queue_.size() >= cfg_.maxQueueDepth) {
         counters_.rejectedQueueFull++;
-        return encodeRejected(
-            {RejectReason::QueueFull,
-             detail::concat("queue depth ", cfg_.maxQueueDepth,
-                            " reached; resubmit later")});
+        return encode(RejectedReply{
+            RejectReason::QueueFull,
+            detail::concat("queue depth ", cfg_.maxQueueDepth,
+                           " reached; resubmit later")});
     }
     uint32_t &inflight = inFlightByClient_[conn.id];
     if (inflight >= cfg_.perClientInFlight) {
         counters_.rejectedClientCap++;
-        return encodeRejected(
-            {RejectReason::ClientCap,
-             detail::concat("per-client in-flight cap ",
-                            cfg_.perClientInFlight, " reached")});
+        return encode(RejectedReply{
+            RejectReason::ClientCap,
+            detail::concat("per-client in-flight cap ",
+                           cfg_.perClientInFlight, " reached")});
     }
 
     SubmitOkReply ok;
@@ -879,9 +843,9 @@ MissionServer::handleSubmit(Connection &conn, const Message &req)
         } catch (const JournalError &e) {
             nextJobId_--;
             rose_warn("rosed journal append failed: ", e.what());
-            return encodeRejected(
-                {RejectReason::BadRequest,
-                 std::string("journal append failed: ") + e.what()});
+            return encode(RejectedReply{
+                RejectReason::BadRequest,
+                std::string("journal append failed: ") + e.what()});
         }
     }
 
@@ -898,20 +862,20 @@ MissionServer::handleSubmit(Connection &conn, const Message &req)
     inflight++;
     counters_.accepted++;
     queueCv_.notify_one();
-    return encodeSubmitOk(ok);
+    return encode(ok);
 }
 
 Message
 MissionServer::handleStatus(const Message &req)
 {
-    uint64_t id = decodeQueryStatus(req);
+    uint64_t id = decode<StatusRequest>(req).jobId;
     std::lock_guard<std::mutex> lk(mu_);
     StatusInfo s;
     s.jobId = id;
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
         s.state = JobState::Unknown;
-        return encodeStatusReply(s);
+        return encode(s);
     }
     const Job &job = it->second;
     s.state = job.state;
@@ -929,100 +893,55 @@ MissionServer::handleStatus(const Message &req)
                           ? msBetween(job.started, Clock::now())
                           : job.serviceMs;
     }
-    return encodeStatusReply(s);
+    return encode(s);
 }
 
 std::optional<Message>
 MissionServer::handleFetch(Connection &conn, const Message &req)
 {
-    FetchRequest freq = decodeFetchResult(req);
+    FetchRequest freq = decode<FetchRequest>(req);
     std::lock_guard<std::mutex> lk(mu_);
     auto it = jobs_.find(freq.jobId);
     if (it == jobs_.end()) {
         StatusInfo s;
         s.jobId = freq.jobId;
         s.state = JobState::Unknown;
-        return encodeStatusReply(s);
+        return encode(s);
     }
     Job &job = it->second;
     if (job.state == JobState::Done || job.state == JobState::Failed) {
-        std::shared_ptr<const ServedResult> src = job.result;
-        if (!src) // Cancelled-at-shutdown records carry no payload
-            return encodeErrorReply("job has no result payload");
-        TrajectoryEncoding enc = freq.encoding;
-        if (enc == TrajectoryEncoding::Binary) {
-            // Binary requires the payload cache marshalResult built
-            // at mission end: a result that never went through
-            // marshalResult (the worker threw) has no cache, a
-            // journal-replayed one retains only the CSV, and a
-            // collision count past u32 could not ride the fixed-width
-            // record so marshalResult left the cache empty — all fall
-            // back to the always-correct CSV payload.
-            bool encodable =
-                !src->trajectoryCsv.empty() &&
-                uint64_t(src->trajectoryBinary.size()) ==
-                    uint64_t(src->trajectorySamples) *
-                        kTrajectoryBinaryRecordBytes;
-            if (!encodable) {
-                if (freq.resumeOffset > 0)
-                    // A resumed binary stream must slice the exact
-                    // byte sequence the first attempt produced; if
-                    // binary is no longer servable the offsets would
-                    // disagree. The client restarts from 0 (in CSV).
-                    return encodeErrorReply(
-                        "binary resume unavailable for this job; "
-                        "restart from offset 0");
-                enc = TrajectoryEncoding::Csv;
-            }
-        }
-
-        auto stream = std::make_unique<ResultStream>();
-        stream->encoding = enc;
-        stream->src = src;
-        stream->totalBytes =
-            enc == TrajectoryEncoding::Binary
-                ? uint64_t(src->trajectoryBinary.size())
-                : uint64_t(src->trajectoryCsv.size());
+        std::shared_ptr<const RetainedResult> src = job.result;
+        if (!src)
+            return errorReply("job has no result payload");
 
         // Resume: the client presents how many payload bytes it
         // already holds; the stream restarts its chunk sequence at 0
         // from that offset. ResultEnd.payloadBytes stays the TOTAL
         // payload size so the assembler's final accounting (and the
         // FNV-1a hash check) is identical either way.
+        auto stream = std::make_unique<ResultStream>();
+        stream->src = src;
+        stream->totalBytes = src->records.size();
         if (freq.resumeOffset > stream->totalBytes)
-            return encodeErrorReply(detail::concat(
+            return errorReply(detail::concat(
                 "resume offset ", freq.resumeOffset,
                 " exceeds payload size ", stream->totalBytes));
-        if (enc == TrajectoryEncoding::Binary &&
-            freq.resumeOffset % kTrajectoryBinaryRecordBytes != 0)
-            return encodeErrorReply(detail::concat(
-                "binary resume offset must be a multiple of ",
+        if (freq.resumeOffset % kTrajectoryBinaryRecordBytes != 0)
+            return errorReply(detail::concat(
+                "resume offset must be a multiple of ",
                 kTrajectoryBinaryRecordBytes));
         stream->offset = freq.resumeOffset;
 
         ResultEndData &end = stream->end;
         end.jobId = freq.jobId;
         end.state = job.state;
-        end.encoding = enc;
         end.payloadBytes = stream->totalBytes;
         uint64_t to_send = stream->totalBytes - freq.resumeOffset;
-        if (to_send > 0) {
-            uint64_t slice = cfg_.resultChunkBytes;
-            if (enc == TrajectoryEncoding::Binary)
-                slice = std::max<uint64_t>(
-                            1, cfg_.resultChunkBytes /
-                                   kTrajectoryBinaryRecordBytes) *
-                        kTrajectoryBinaryRecordBytes;
-            end.chunkCount = uint32_t((to_send + slice - 1) / slice);
-        }
-        end.trajectoryHash = src->trajectoryHash;
-        // Integrity hash over the payload bytes as they travel: the
-        // canonical-CSV hash for a Csv stream (the payload IS the
-        // CSV), the cached binary-record hash for Binary.
-        end.payloadHash = enc == TrajectoryEncoding::Binary
-                              ? src->trajectoryBinaryHash
-                              : src->trajectoryHash;
-        end.result = scalarResult(*src);
+        end.chunkCount =
+            uint32_t((to_send + cfg_.resultChunkBytes - 1) /
+                     cfg_.resultChunkBytes);
+        end.payloadHash = src->recordsHash;
+        end.result = src->result;
 
         // The job record stays retained (and fetchable) until the
         // client's hash-verified AckResult releases it — a stream
@@ -1045,20 +964,20 @@ MissionServer::handleFetch(Connection &conn, const Message &req)
                         : job.queueWaitMs;
     if (job.state == JobState::Running)
         s.serviceMs = msBetween(job.started, Clock::now());
-    return encodeStatusReply(s);
+    return encode(s);
 }
 
 Message
 MissionServer::handleCancel(const Message &req)
 {
-    uint64_t id = decodeCancelMission(req);
+    uint64_t id = decode<CancelRequest>(req).jobId;
     std::lock_guard<std::mutex> lk(mu_);
     CancelInfo c;
     c.jobId = id;
     auto it = jobs_.find(id);
     if (it == jobs_.end()) {
         c.outcome = CancelOutcome::UnknownJob;
-        return encodeCancelReply(c);
+        return encode(c);
     }
     Job &job = it->second;
     switch (job.state) {
@@ -1093,13 +1012,13 @@ MissionServer::handleCancel(const Message &req)
         c.outcome = CancelOutcome::UnknownJob;
         break;
     }
-    return encodeCancelReply(c);
+    return encode(c);
 }
 
 Message
 MissionServer::handleAck(const Message &req)
 {
-    AckRequest ack = decodeAckResult(req);
+    AckRequest ack = decode<AckRequest>(req);
     std::lock_guard<std::mutex> lk(mu_);
     AckInfo info;
     info.jobId = ack.jobId;
@@ -1109,50 +1028,37 @@ MissionServer::handleAck(const Message &req)
         // Unknown covers the retried ack whose first attempt already
         // released the job — clients treat it as success.
         info.outcome = AckOutcome::UnknownJob;
-        return encodeAckReply(info);
+        return encode(info);
     }
-    // The ack carries the payload hash of whichever encoding the
-    // client assembled: the canonical-CSV hash (Csv stream) or the
-    // binary-record hash (Binary stream) both prove possession of
-    // the bytes we hold.
-    bool holds_our_bytes;
-    if (const auto &res = it->second.result) {
-        holds_our_bytes =
-            ack.trajectoryHash == res->trajectoryHash ||
-            (!res->trajectoryBinary.empty() &&
-             ack.trajectoryHash == res->trajectoryBinaryHash);
-    } else {
-        holds_our_bytes =
-            ack.trajectoryHash == fnv1a(std::string_view{});
-    }
-    if (!holds_our_bytes) {
+    const std::shared_ptr<const RetainedResult> &res = it->second.result;
+    if (!res || ack.payloadHash != res->recordsHash) {
         // The client assembled different bytes than we hold: keep
         // the record so it can refetch from offset 0.
         info.outcome = AckOutcome::HashMismatch;
-        return encodeAckReply(info);
+        return encode(info);
     }
     releaseJobLocked(ack.jobId);
     counters_.resultsAcked++;
     info.outcome = AckOutcome::Released;
-    return encodeAckReply(info);
+    return encode(info);
 }
 
 Message
 MissionServer::handleStats()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return encodeStatsReply(statsLocked());
+    return encode(statsLocked());
 }
 
 Message
 MissionServer::handleShutdown(const Message &req)
 {
-    bool drain = decodeShutdown(req);
+    bool drain = decode<ShutdownRequest>(req).drain;
     // The reply is sent by the dispatcher after this returns; the IO
     // loop keeps servicing connections until the drain completes, so
     // the flag can be set right away.
     requestShutdown(drain);
-    return encodeShutdownReply();
+    return encode(ShutdownReply{});
 }
 
 void
@@ -1171,7 +1077,7 @@ MissionServer::sendMessage(Connection &conn, const Message &m)
         conn.txPos = 0;
     }
     bool wasIdle = conn.pendingTx() == 0;
-    serializeMessage(m, conn.tx);
+    bridge::serializeFrame(m, conn.tx);
     if (conn.pendingTx() > cfg_.maxTxBacklogBytes) {
         rose_warn("rosed reply backlog on connection ", conn.id,
                       " exceeds ", cfg_.maxTxBacklogBytes,
@@ -1329,7 +1235,7 @@ MissionServer::journalCancelLocked(uint64_t job_id)
         // A cancellation is terminal with an empty result; on replay
         // the job comes back as a Cancelled tombstone, not requeued.
         journal_->appendTerminal(job_id, JobState::Cancelled,
-                                 ServedResult{});
+                                 RetainedResult{});
     } catch (const JournalError &e) {
         rose_warn("rosed journal cancel failed for job ", job_id,
                       ": ", e.what());

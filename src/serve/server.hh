@@ -14,7 +14,7 @@
  *    machine; requests are decoded, answered synchronously, and
  *    submissions are handed to the job queue. A terminal job's
  *    FetchResult opens a *result stream* on its connection: the
- *    trajectory payload is sliced into ResultChunk frames generated
+ *    binary trajectory records are sliced into ResultChunk frames generated
  *    under a per-stream backlog cap and drained through the same
  *    POLLOUT tx-buffer machinery as every other reply, then closed
  *    with a ResultEnd carrying the scalar result and the FNV-1a
@@ -124,8 +124,8 @@ struct ServerConfig
     int sendTimeoutMs = 5000;
     /** Drop a connection whose unflushed reply backlog exceeds this. */
     size_t maxTxBacklogBytes = 64 * 1024 * 1024;
-    /** Result-stream slice size [bytes]; clamped to
-     *  [1, kMaxResultChunkBytes]. */
+    /** Result-stream slice size [bytes]; rounded down to whole
+     *  trajectory records within [1 record, kMaxResultChunkBytes]. */
     size_t resultChunkBytes = kDefaultResultChunkBytes;
     /**
      * Per-stream generation cap [bytes]: chunks are only produced
@@ -155,8 +155,8 @@ struct ServerConfig
      */
     size_t maxRetainedResults = 256;
     /**
-     * Byte bound on retained terminal results (trajectory CSV +
-     * samples + failure reason), enforced alongside
+     * Byte bound on retained terminal results (trajectory records +
+     * failure reason), enforced alongside
      * maxRetainedResults: oldest results are evicted until the total
      * fits. The newest terminal result is never evicted by the byte
      * bound (a single oversized result stays fetchable), so the
@@ -272,14 +272,13 @@ class MissionServer
          *  the record can be released mid-stream (client ack, ret-
          *  ention eviction) without pulling bytes out from under
          *  them. */
-        std::shared_ptr<const ServedResult> result;
+        std::shared_ptr<const RetainedResult> result;
     };
 
     /**
      * One result stream in flight on a connection. Shares the
-     * payload source with the retained job record (the CSV string,
-     * or the raw samples quantized to binary records one chunk at a
-     * time) and owns the pre-built ResultEnd. The job stays
+     * trajectory records with the retained job record and owns the
+     * pre-built ResultEnd. The job stays
      * fetchable until the client's hash-verified AckResult (or
      * retention eviction) releases it, so a stream that dies with
      * its connection costs nothing — the client reconnects and
@@ -287,9 +286,8 @@ class MissionServer
      */
     struct ResultStream
     {
-        TrajectoryEncoding encoding = TrajectoryEncoding::Csv;
         /** Payload source, shared with the job record. */
-        std::shared_ptr<const ServedResult> src;
+        std::shared_ptr<const RetainedResult> src;
         uint64_t totalBytes = 0;
         uint64_t offset = 0; ///< payload bytes already framed
         uint32_t seq = 0;    ///< next chunk sequence number

@@ -310,6 +310,101 @@ TEST(Checkpoint, FaultInjectorStateIsCaptured)
     EXPECT_EQ(rest.inferences, rest2.inferences);
 }
 
+namespace {
+
+/** Offset and length of each section body of a checkpoint state blob
+ *  (u8 tag, u32 length, body), keyed by tag. */
+std::vector<std::pair<size_t, size_t>>
+sectionBodies(const std::vector<uint8_t> &state, std::vector<uint8_t> &tags)
+{
+    std::vector<std::pair<size_t, size_t>> bodies;
+    StateReader r(state);
+    while (r.remaining() > 0) {
+        tags.push_back(r.u8());
+        uint32_t len = r.u32();
+        bodies.emplace_back(r.pos(), len);
+        r.skip(len);
+    }
+    return bodies;
+}
+
+/** Restore @p ck into a fresh mission: success or a SerdeError only. */
+void
+expectRestoreOrSerdeError(const CosimConfig &cfg, Checkpoint ck)
+{
+    ck.stateHash = stateHashOf(ck.state);
+    CoSimulation target(cfg);
+    try {
+        target.restore(ck);
+    } catch (const SerdeError &) {
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "restore threw a non-serde error: " << e.what();
+    }
+}
+
+} // namespace
+
+TEST(Checkpoint, RestoreRejectsOversizedSampleCount)
+{
+    // A hash-valid Cosim section claiming 2^32-1 trajectory samples
+    // must be a SerdeError from the count check, not a ~380 GB
+    // reserve before the underrun is noticed.
+    CosimConfig cfg = canonicalSpec("A").toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 30; ++i)
+        sim.stepPeriod();
+    Checkpoint ck = sim.checkpoint();
+    std::vector<uint8_t> tags;
+    auto bodies = sectionBodies(ck.state, tags);
+    ASSERT_EQ(tags.front(), uint8_t(CkptSection::Cosim));
+    // The sample count follows 8 u64/f64 accumulators.
+    std::memset(ck.state.data() + bodies.front().first + 64, 0xff, 4);
+    ck.stateHash = stateHashOf(ck.state);
+    CoSimulation target(cfg);
+    EXPECT_THROW(target.restore(ck), SerdeError);
+}
+
+TEST(Checkpoint, RestoreFuzzOfRehashedSectionsEndsCleanly)
+{
+    // Seeded bit flips inside one section body with the state hash
+    // recomputed, so the bytes get past every integrity check and
+    // reach the section restorers. Each restore must succeed or throw
+    // SerdeError — no crash, no unbounded allocation (the ASan preset
+    // aborts on an oversized allocation).
+    core::MissionSpec spec = canonicalSpec("A");
+    spec.faults.enabled = true;
+    spec.faults.delayProb = 0.2;
+    spec.faults.reorderProb = 0.2;
+    CosimConfig cfg = spec.toConfig();
+    CoSimulation sim(cfg);
+    for (int i = 0; i < 60; ++i)
+        sim.stepPeriod();
+    const Checkpoint valid = sim.checkpoint();
+    std::vector<uint8_t> tags;
+    const auto bodies = sectionBodies(valid.state, tags);
+    ASSERT_GE(bodies.size(), 8u);
+    for (const auto &[at, len] : bodies)
+        ASSERT_GT(len, 0u);
+
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x94d049bb133111ebULL);
+        size_t si = rng.uniformInt(bodies.size());
+        auto [at, len] = bodies[si];
+        SCOPED_TRACE("section tag " + std::to_string(tags[si]));
+        Checkpoint ck = valid;
+        for (uint64_t f = 1 + rng.uniformInt(4); f > 0; --f) {
+            size_t i = at + rng.uniformInt(len);
+            // Whole bytes on odd seeds: corrupt lengths and counts
+            // outright, not one bit at a time.
+            ck.state[i] = seed % 2 ? uint8_t(rng.uniformInt(256))
+                                   : ck.state[i] ^
+                                         uint8_t(1u << rng.uniformInt(8));
+        }
+        expectRestoreOrSerdeError(cfg, ck);
+    }
+}
+
 // ------------------------------------------------------------ disk format
 
 TEST(CheckpointFile, RoundTripsAndValidates)

@@ -45,18 +45,23 @@ testSpec(uint64_t seed)
     return spec;
 }
 
-ServedResult
-testResult(const std::string &csv)
+/** A terminal result carrying @p samples binary records. */
+RetainedResult
+testResult(size_t samples)
 {
-    ServedResult r;
-    r.completed = true;
-    r.missionTime = 1.5;
-    r.collisions = 2;
-    r.trajectorySamples = 7;
-    r.trajectoryCsv = csv;
-    r.trajectoryHash = fnv1a(csv);
-    r.queueWaitMs = 3.5;
-    r.serviceMs = 42.0;
+    RetainedResult r;
+    r.result.completed = true;
+    r.result.missionTime = 1.5;
+    r.result.collisions = 2;
+    r.result.trajectorySamples = uint32_t(samples);
+    r.result.trajectoryHash = 0x5eed + samples;
+    r.result.queueWaitMs = 3.5;
+    r.result.serviceMs = 42.0;
+    std::vector<core::TrajectorySample> t(samples);
+    for (size_t i = 0; i < samples; ++i)
+        t[i].time = 0.01 * double(i);
+    r.records = encodeTrajectoryBinary(t);
+    r.recordsHash = fnv1a(r.records.data(), r.records.size());
     return r;
 }
 
@@ -108,7 +113,7 @@ buildSampleJournal(const std::string &name, uint64_t fp,
     j.appendSubmit(1, "key-1", testSpec(1));
     j.appendSubmit(2, "key-2", testSpec(2));
     j.appendTerminal(1, JobState::Done,
-                     testResult("t,x,y,z\n0,1,2,3\n"));
+                     testResult(2));
     j.appendSubmit(3, "", testSpec(3));
     j.appendReleased(3);
     if (wal_out)
@@ -182,7 +187,7 @@ TEST(Journal, RoundTripAcrossReopen)
         j.appendSubmit(1, "key-1", testSpec(1));
         j.appendSubmit(2, "key-2", testSpec(2));
         j.appendTerminal(1, JobState::Done,
-                         testResult("t,x\n0,1\n"));
+                         testResult(7));
         j.appendSubmit(3, "", testSpec(3));
         j.appendReleased(3);
     }
@@ -196,9 +201,12 @@ TEST(Journal, RoundTripAcrossReopen)
     EXPECT_EQ(done.idempotencyKey, "key-1");
     EXPECT_TRUE(done.terminal);
     EXPECT_EQ(done.state, JobState::Done);
-    EXPECT_EQ(done.result.trajectoryCsv, "t,x\n0,1\n");
-    EXPECT_EQ(done.result.trajectoryHash, fnv1a("t,x\n0,1\n"));
-    EXPECT_DOUBLE_EQ(done.result.serviceMs, 42.0);
+    const RetainedResult want = testResult(7);
+    EXPECT_EQ(done.result.records, want.records);
+    EXPECT_EQ(done.result.recordsHash, want.recordsHash);
+    EXPECT_EQ(done.result.result.trajectoryHash, want.result.trajectoryHash);
+    EXPECT_EQ(done.result.result.trajectorySamples, 7u);
+    EXPECT_DOUBLE_EQ(done.result.result.serviceMs, 42.0);
 
     const RecoveredJob &queued = rep.jobs[1];
     EXPECT_EQ(queued.jobId, 2u);
@@ -215,7 +223,7 @@ TEST(Journal, CompactionDropsReleasedJobs)
     {
         JobJournal j(dir, fp);
         j.appendSubmit(1, "k", testSpec(1));
-        j.appendTerminal(1, JobState::Done, testResult("csv\n"));
+        j.appendTerminal(1, JobState::Done, testResult(1));
         j.appendReleased(1);
         before = j.bytesOnDisk();
     }
@@ -346,7 +354,7 @@ TEST(Journal, CancelledTerminalReplaysAsTombstone)
     {
         JobJournal j(dir, fp);
         j.appendSubmit(1, "k", testSpec(1));
-        j.appendTerminal(1, JobState::Cancelled, ServedResult{});
+        j.appendTerminal(1, JobState::Cancelled, RetainedResult{});
     }
     JobJournal j2(dir, fp);
     JournalReplay rep = j2.takeReplay();

@@ -2,24 +2,25 @@
  * @file
  * Tests of the mission-service daemon (src/serve/).
  *
- * Five layers:
- *  - protocol codecs: every request/response round-trips byte-exactly,
- *    including the v2 result-stream frames (ResultChunk / ResultEnd /
- *    Progress) and the fixed-width binary trajectory encoding with
- *    its canonical-f32 CSV print-parity invariant;
+ * Six layers:
+ *  - protocol codecs: one table-driven test encodes and decodes every
+ *    message type through its field list, then feeds each decoder
+ *    seeded random bytes, truncations and bit flips (a value or a
+ *    SerdeError, never a crash — the ASan preset watches); plus the
+ *    binary trajectory records and their canonical-f32 CSV
+ *    print-parity invariant;
  *  - framing: seeded fuzz of MessageBuffer (mirrors the bridge's
  *    test_framing_fuzz harness) — arbitrary bytes never crash, hang,
  *    or allocate past the payload bound, and poison sticks;
  *  - stream reassembly: ResultStreamAssembler state machine under
  *    seeded fuzz — random chunk splits, truncation, frames after
  *    ResultEnd, corrupted hashes — every violation is a clean
- *    ProtocolError, never a crash or a silent wrong result;
+ *    SerdeError, never a crash or a silent wrong result;
  *  - served-result determinism: a mission submitted over TCP returns
- *    a trajectory CSV whose FNV-1a hash is bit-identical to the same
- *    spec run locally via runMission(), including under 4 concurrent
- *    clients and for multi-megabyte trajectories streamed across many
- *    chunks in both encodings (the golden-trace acceptance
- *    criterion);
+ *    samples whose canonical CSV hashes (FNV-1a) bit-identically to
+ *    the same spec run locally via runMission(), including under 4
+ *    concurrent clients and for multi-megabyte trajectories streamed
+ *    across many chunks (the golden-trace acceptance criterion);
  *  - admission control & lifecycle: queue-full and per-client-cap
  *    shedding, cancellation, stalled readers and disconnects
  *    mid-stream, byte-bounded result retention, and clean shutdown
@@ -43,9 +44,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -120,8 +123,189 @@ eventually(MissionServer &server, Pred pred, int timeout_ms = 10000)
 
 // ===================================================== protocol codecs
 
+namespace {
+
+/** Submit message for a spec, as ServeClient::submit builds it. */
+Message
+submitMsg(const core::MissionSpec &spec, const std::string &key = "")
+{
+    SubmitRequest req;
+    req.idempotencyKey = key;
+    req.spec = spec;
+    return encode(req);
+}
+
+/** FNV-1a of the canonical CSV rendered from a fetched result. */
+uint64_t
+servedHash(const ServedResult &r)
+{
+    return fnv1a(core::trajectoryCsvString(r.trajectory));
+}
+
+/** Field visitor that fills every listed field with random values
+ *  inside its bound or range. */
+struct Randomize
+{
+    Rng &rng;
+
+    template <class... Ts>
+    void operator()(Ts &&...fs) const { (set(fs), ...); }
+
+    template <class T>
+    void set(T &v) const
+    {
+        if constexpr (serde_detail::IsBounded<T>::value) {
+            v.value.resize(rng.uniformInt(std::min<size_t>(v.max, 96) + 1));
+            for (auto &c : v.value)
+                c = decltype(v.value[0] + 0)(rng.uniformInt(256));
+        } else if constexpr (serde_detail::IsRanged<T>::value) {
+            unsigned lo = unsigned(v.lo), hi = unsigned(v.hi);
+            v.value = decltype(v.lo)(lo + rng.uniformInt(hi - lo + 1));
+        } else if constexpr (std::is_same_v<T, bool>) {
+            v = rng.uniformInt(2) == 1;
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = rng.uniform(-1e6, 1e6);
+        } else {
+            v = T(rng.next());
+        }
+    }
+};
+
+/** Field visitor that renders every listed field (doubles as bit
+ *  patterns), so two values compare field by field. */
+struct Render
+{
+    std::ostringstream &os;
+
+    template <class... Ts>
+    void operator()(Ts &&...fs) const { (put(fs), ...); }
+
+    template <class T>
+    void put(const T &v) const
+    {
+        if constexpr (serde_detail::IsBounded<T>::value) {
+            os << '[' << v.value.size() << ':';
+            for (auto c : v.value)
+                os << unsigned(uint8_t(c)) << ',';
+            os << ']';
+        } else if constexpr (serde_detail::IsRanged<T>::value) {
+            os << 'e' << unsigned(v.value);
+        } else if constexpr (std::is_same_v<T, double>) {
+            uint64_t bits;
+            std::memcpy(&bits, &v, sizeof(bits));
+            os << 'd' << bits;
+        } else {
+            os << 'i' << uint64_t(v);
+        }
+        os << ';';
+    }
+};
+
+template <class T>
+T
+randomPayload(Rng &rng)
+{
+    T v;
+    T::fields(v, Randomize{rng});
+    return v;
+}
+
+template <class T>
+std::string
+render(const T &v)
+{
+    std::ostringstream os;
+    T::fields(v, Render{os});
+    return os.str();
+}
+
+/** Decode @p m as T: a value or a SerdeError, nothing else. */
+template <class T>
+void
+expectValueOrSerdeError(const Message &m)
+{
+    try {
+        decode<T>(m);
+    } catch (const SerdeError &) {
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << msgTypeName(T::kType)
+                      << " decode threw a non-serde error: " << e.what();
+    }
+}
+
+/**
+ * The codec checks for one payload struct: encode -> decode equality
+ * over every listed field, then seeded random bytes, truncations and
+ * bit flips of valid encodings, each ending in a value or a
+ * SerdeError.
+ */
+template <class T>
+void
+checkCodec(std::set<uint8_t> &covered)
+{
+    SCOPED_TRACE(msgTypeName(T::kType));
+    covered.insert(uint8_t(T::kType));
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL + uint8_t(T::kType));
+        const T v = randomPayload<T>(rng);
+        const Message valid = encode(v);
+        ASSERT_EQ(valid.type, T::kType);
+        ASSERT_EQ(render(decode<T>(valid)), render(v));
+
+        Message noise{T::kType, {}};
+        noise.payload.resize(rng.uniformInt(2 * valid.payload.size() + 8));
+        for (uint8_t &b : noise.payload)
+            b = uint8_t(rng.uniformInt(256));
+        expectValueOrSerdeError<T>(noise);
+
+        Message cut = valid;
+        cut.payload.resize(rng.uniformInt(valid.payload.size() + 1));
+        expectValueOrSerdeError<T>(cut);
+
+        if (valid.payload.empty())
+            continue;
+        Message flipped = valid;
+        for (uint64_t f = 1 + rng.uniformInt(8); f > 0; --f)
+            flipped.payload[rng.uniformInt(flipped.payload.size())] ^=
+                uint8_t(1u << rng.uniformInt(8));
+        expectValueOrSerdeError<T>(flipped);
+    }
+}
+
+} // namespace
+
+TEST(ServeProto, CodecRoundTripsAndFuzzesEveryMessageType)
+{
+    std::set<uint8_t> covered;
+    checkCodec<SubmitRequest>(covered);
+    checkCodec<StatusRequest>(covered);
+    checkCodec<FetchRequest>(covered);
+    checkCodec<CancelRequest>(covered);
+    checkCodec<StatsRequest>(covered);
+    checkCodec<ShutdownRequest>(covered);
+    checkCodec<AckRequest>(covered);
+    checkCodec<SubmitOkReply>(covered);
+    checkCodec<RejectedReply>(covered);
+    checkCodec<StatusInfo>(covered);
+    checkCodec<CancelInfo>(covered);
+    checkCodec<ServerStatsData>(covered);
+    checkCodec<ShutdownReply>(covered);
+    checkCodec<ResultChunkData>(covered);
+    checkCodec<ResultEndData>(covered);
+    checkCodec<ProgressEvent>(covered);
+    checkCodec<AckInfo>(covered);
+    checkCodec<ErrorInfo>(covered);
+    for (unsigned raw = 0; raw < 256; ++raw)
+        EXPECT_EQ(isValidMsgType(uint8_t(raw)), covered.count(raw) == 1)
+            << "message type 0x" << std::hex << raw;
+    EXPECT_EQ(kServeProtocolVersion, 5);
+}
+
 TEST(ServeProto, SpecCodecRoundTripsEveryField)
 {
+    // Named values rather than random ones: a spec field missing from
+    // SubmitRequest::fields would silently run a different mission.
     core::MissionSpec spec;
     spec.world = "s-shape";
     spec.vehicle = "rover";
@@ -144,8 +328,9 @@ TEST(ServeProto, SpecCodecRoundTripsEveryField)
     spec.faults.protectSyncPackets = false;
     spec.faults.seed = 0x1234;
 
-    core::MissionSpec back =
-        decodeSubmitMission(encodeSubmitMission(spec));
+    SubmitRequest req = decode<SubmitRequest>(submitMsg(spec, "key-1"));
+    const core::MissionSpec &back = req.spec;
+    EXPECT_EQ(req.idempotencyKey, "key-1");
     EXPECT_EQ(back.world, spec.world);
     EXPECT_EQ(back.vehicle, spec.vehicle);
     EXPECT_EQ(back.socName, spec.socName);
@@ -169,125 +354,44 @@ TEST(ServeProto, SpecCodecRoundTripsEveryField)
     EXPECT_EQ(back.faults.seed, spec.faults.seed);
 }
 
-TEST(ServeProto, ReplyCodecsRoundTrip)
+TEST(ServeProto, DecodeRejectsMalformedFields)
 {
-    SubmitOkReply ok{42, 7};
-    SubmitOkReply ok2 = decodeSubmitOk(encodeSubmitOk(ok));
-    EXPECT_EQ(ok2.jobId, 42u);
-    EXPECT_EQ(ok2.queuePosition, 7u);
+    // Wrong message type: a stream-state violation.
+    EXPECT_THROW(decode<StatusRequest>(encode(StatsRequest{})),
+                 ProtocolError);
 
-    RejectedReply rej{RejectReason::QueueFull, "queue depth reached"};
-    RejectedReply rej2 = decodeRejected(encodeRejected(rej));
-    EXPECT_EQ(rej2.reason, RejectReason::QueueFull);
-    EXPECT_EQ(rej2.detail, rej.detail);
+    // Truncation and trailing bytes.
+    Message m = submitMsg(core::MissionSpec{});
+    m.payload.resize(m.payload.size() / 2);
+    EXPECT_THROW(decode<SubmitRequest>(m), SerdeError);
+    m = encode(StatusRequest{7});
+    m.payload.push_back(0);
+    EXPECT_THROW(decode<StatusRequest>(m), SerdeError);
 
-    StatusInfo st;
-    st.jobId = 9;
-    st.state = JobState::Running;
-    st.queuePosition = 3;
-    st.queueWaitMs = 12.5;
-    st.serviceMs = 99.25;
-    StatusInfo st2 = decodeStatusReply(encodeStatusReply(st));
-    EXPECT_EQ(st2.jobId, 9u);
-    EXPECT_EQ(st2.state, JobState::Running);
-    EXPECT_EQ(st2.queuePosition, 3u);
-    EXPECT_EQ(st2.queueWaitMs, 12.5);
-    EXPECT_EQ(st2.serviceMs, 99.25);
+    // Out-of-range enum bytes, including a non-terminal ResultEnd
+    // state and a spec-codec version other than 2.
+    Message rej = encode(RejectedReply{RejectReason::QueueFull, ""});
+    rej.payload[0] = 0x7f;
+    EXPECT_THROW(decode<RejectedReply>(rej), SerdeError);
+    Message end = encode(ResultEndData{});
+    end.payload[8] = uint8_t(JobState::Running);
+    EXPECT_THROW(decode<ResultEndData>(end), SerdeError);
+    Message v1 = submitMsg(core::MissionSpec{});
+    v1.payload[0] = 1;
+    EXPECT_THROW(decode<SubmitRequest>(v1), SerdeError);
 
-    CancelInfo c{11, CancelOutcome::TooLate};
-    CancelInfo c2 = decodeCancelReply(encodeCancelReply(c));
-    EXPECT_EQ(c2.jobId, 11u);
-    EXPECT_EQ(c2.outcome, CancelOutcome::TooLate);
-
-    ServerStatsData s;
-    s.submitted = 100;
-    s.accepted = 90;
-    s.completed = 80;
-    s.failed = 5;
-    s.cancelled = 5;
-    s.rejectedQueueFull = 7;
-    s.rejectedClientCap = 2;
-    s.rejectedShutdown = 1;
-    s.malformed = 3;
-    s.queued = 4;
-    s.running = 2;
-    s.workers = 8;
-    s.queueCapacity = 16;
-    s.connectionsAccepted = 12;
-    s.connectionsOpen = 6;
-    s.totalQueueWaitMs = 1234.5;
-    s.maxQueueWaitMs = 250.25;
-    s.totalServiceMs = 9876.5;
-    s.maxServiceMs = 500.125;
-    s.streamsStarted = 17;
-    s.streamsCompleted = 15;
-    s.streamedChunks = 1234;
-    s.streamedPayloadBytes = 987654321;
-    s.progressEvents = 4321;
-    s.retainedResultBytes = 55555;
-    s.activeStreams = 2;
-    s.dedupedSubmits = 9;
-    s.journalReplayedJobs = 3;
-    s.warmRestoredJobs = 2;
-    s.resultsAcked = 77;
-    s.streamsResumed = 6;
-    ServerStatsData s2 = decodeStatsReply(encodeStatsReply(s));
-    EXPECT_EQ(s2.submitted, s.submitted);
-    EXPECT_EQ(s2.rejectedQueueFull, s.rejectedQueueFull);
-    EXPECT_EQ(s2.rejectedClientCap, s.rejectedClientCap);
-    EXPECT_EQ(s2.malformed, s.malformed);
-    EXPECT_EQ(s2.queued, s.queued);
-    EXPECT_EQ(s2.connectionsAccepted, s.connectionsAccepted);
-    EXPECT_EQ(s2.totalQueueWaitMs, s.totalQueueWaitMs);
-    EXPECT_EQ(s2.maxServiceMs, s.maxServiceMs);
-    EXPECT_EQ(s2.streamsStarted, s.streamsStarted);
-    EXPECT_EQ(s2.streamsCompleted, s.streamsCompleted);
-    EXPECT_EQ(s2.streamedChunks, s.streamedChunks);
-    EXPECT_EQ(s2.streamedPayloadBytes, s.streamedPayloadBytes);
-    EXPECT_EQ(s2.progressEvents, s.progressEvents);
-    EXPECT_EQ(s2.retainedResultBytes, s.retainedResultBytes);
-    EXPECT_EQ(s2.activeStreams, s.activeStreams);
-    EXPECT_EQ(s2.dedupedSubmits, s.dedupedSubmits);
-    EXPECT_EQ(s2.journalReplayedJobs, s.journalReplayedJobs);
-    EXPECT_EQ(s2.warmRestoredJobs, s.warmRestoredJobs);
-    EXPECT_EQ(s2.resultsAcked, s.resultsAcked);
-    EXPECT_EQ(s2.streamsResumed, s.streamsResumed);
-
-    EXPECT_EQ(decodeQueryStatus(encodeQueryStatus(77)), 77u);
-    FetchRequest fr = decodeFetchResult(encodeFetchResult(78));
-    EXPECT_EQ(fr.jobId, 78u);
-    EXPECT_EQ(fr.encoding, TrajectoryEncoding::Csv);
-    EXPECT_EQ(fr.resumeOffset, 0u);
-    fr = decodeFetchResult(encodeFetchResult(
-        80, TrajectoryEncoding::Binary, 0x1234567890abcdefULL));
-    EXPECT_EQ(fr.jobId, 80u);
-    EXPECT_EQ(fr.encoding, TrajectoryEncoding::Binary);
-    EXPECT_EQ(fr.resumeOffset, 0x1234567890abcdefULL);
-
-    // v3 additions: the idempotency key rides the submit payload, and
-    // AckResult/AckReply close the fetch-verify-release handshake.
-    core::MissionSpec keyedSpec;
-    keyedSpec.seed = 99;
-    SubmitRequest sr = decodeSubmitRequest(
-        encodeSubmitMission(keyedSpec, "retry-key-1"));
-    EXPECT_EQ(sr.spec.seed, 99u);
-    EXPECT_EQ(sr.idempotencyKey, "retry-key-1");
-    AckRequest ar =
-        decodeAckResult(encodeAckResult(55, 0xfeedfacecafef00dULL));
-    EXPECT_EQ(ar.jobId, 55u);
-    EXPECT_EQ(ar.trajectoryHash, 0xfeedfacecafef00dULL);
-    AckInfo ai{55, AckOutcome::HashMismatch};
-    AckInfo ai2 = decodeAckReply(encodeAckReply(ai));
-    EXPECT_EQ(ai2.jobId, 55u);
-    EXPECT_EQ(ai2.outcome, AckOutcome::HashMismatch);
-    // An unknown encoding byte is rejected, not trusted.
-    Message badEnc = encodeFetchResult(81);
-    badEnc.payload[8] = 0x7f;
-    EXPECT_THROW(decodeFetchResult(badEnc), ProtocolError);
-    EXPECT_EQ(decodeCancelMission(encodeCancelMission(79)), 79u);
-    EXPECT_TRUE(decodeShutdown(encodeShutdown(true)));
-    EXPECT_FALSE(decodeShutdown(encodeShutdown(false)));
-    EXPECT_EQ(decodeErrorReply(encodeErrorReply("boom")), "boom");
+    // Length fields past their bound, rejected before allocating.
+    Message err = encode(ErrorInfo{"x"});
+    err.payload[0] = 0xff;
+    err.payload[1] = 0xff;
+    err.payload[2] = 0xff;
+    err.payload[3] = 0x7f;
+    EXPECT_THROW(decode<ErrorInfo>(err), SerdeError);
+    Message chunk = encode(ResultChunkData{1, 0, {1, 2, 3}});
+    uint32_t huge = uint32_t(kMaxResultChunkBytes + 1);
+    std::memcpy(chunk.payload.data() + 12, &huge, 4);
+    chunk.payload.resize(chunk.payload.size() + kMaxResultChunkBytes);
+    EXPECT_THROW(decode<ResultChunkData>(chunk), SerdeError);
 }
 
 namespace {
@@ -343,92 +447,36 @@ randomSamples(Rng &rng, size_t n)
     return v;
 }
 
-/** Slice a trajectory payload into ResultChunk frames + ResultEnd,
+/** Slice a record payload into ResultChunk frames + ResultEnd,
  *  exactly as the server's stream pump does. */
 std::vector<Message>
-buildStream(uint64_t job_id, const std::string &csv,
+buildStream(uint64_t job_id, const std::vector<uint8_t> &payload,
             size_t chunk_bytes, const ServedResult &scalars,
             JobState state = JobState::Done)
 {
     std::vector<Message> frames;
     uint32_t seq = 0;
-    for (size_t off = 0; off < csv.size(); off += chunk_bytes) {
+    for (size_t off = 0; off < payload.size(); off += chunk_bytes) {
         ResultChunkData c;
         c.jobId = job_id;
         c.seq = seq++;
-        size_t n = std::min(chunk_bytes, csv.size() - off);
-        c.bytes.assign(csv.begin() + std::ptrdiff_t(off),
-                       csv.begin() + std::ptrdiff_t(off + n));
-        frames.push_back(encodeResultChunk(c));
+        size_t n = std::min(chunk_bytes, payload.size() - off);
+        c.bytes.assign(payload.begin() + std::ptrdiff_t(off),
+                       payload.begin() + std::ptrdiff_t(off + n));
+        frames.push_back(encode(c));
     }
     ResultEndData end;
     end.jobId = job_id;
     end.state = state;
-    end.encoding = TrajectoryEncoding::Csv;
     end.chunkCount = seq;
-    end.payloadBytes = csv.size();
-    end.trajectoryHash = fnv1a(csv);
-    end.payloadHash = fnv1a(csv); // Csv payload IS the canonical CSV
+    end.payloadBytes = payload.size();
+    end.payloadHash = fnv1a(payload.data(), payload.size());
     end.result = scalars;
-    frames.push_back(encodeResultEnd(end));
+    frames.push_back(encode(end));
     return frames;
 }
 
 } // namespace
-
-TEST(ServeProto, ResultChunkAndEndRoundTrip)
-{
-    ResultChunkData c;
-    c.jobId = 21;
-    c.seq = 7;
-    c.bytes = {1, 2, 3, 250, 0, 99};
-    ResultChunkData c2 = decodeResultChunk(encodeResultChunk(c));
-    EXPECT_EQ(c2.jobId, 21u);
-    EXPECT_EQ(c2.seq, 7u);
-    EXPECT_EQ(c2.bytes, c.bytes);
-
-    ResultEndData e;
-    e.jobId = 21;
-    e.state = JobState::Failed;
-    e.encoding = TrajectoryEncoding::Binary;
-    e.chunkCount = 13;
-    e.payloadBytes = 123456789;
-    e.trajectoryHash = 0xabcdef0123456789ULL;
-    e.payloadHash = 0x1122334455667788ULL;
-    e.result = denseScalarResult();
-    e.result.failureReason = "mission threw";
-    ResultEndData e2 = decodeResultEnd(encodeResultEnd(e));
-    EXPECT_EQ(e2.jobId, 21u);
-    EXPECT_EQ(e2.state, JobState::Failed);
-    EXPECT_EQ(e2.encoding, TrajectoryEncoding::Binary);
-    EXPECT_EQ(e2.chunkCount, 13u);
-    EXPECT_EQ(e2.payloadBytes, 123456789u);
-    EXPECT_EQ(e2.trajectoryHash, e.trajectoryHash);
-    EXPECT_EQ(e2.payloadHash, e.payloadHash);
-    EXPECT_EQ(e2.result.failureReason, "mission threw");
-    EXPECT_EQ(e2.result.collisions, e.result.collisions);
-    EXPECT_EQ(e2.result.simulatedCycles, e.result.simulatedCycles);
-    EXPECT_EQ(e2.result.queueWaitMs, e.result.queueWaitMs);
-    EXPECT_EQ(e2.result.serviceMs, e.result.serviceMs);
-    // The decoder surfaces the verification hash on the result too.
-    EXPECT_EQ(e2.result.trajectoryHash, e.trajectoryHash);
-
-    // Non-terminal state bytes are rejected, not trusted.
-    Message m = encodeResultEnd(e);
-    m.payload[8] = uint8_t(JobState::Running);
-    EXPECT_THROW(decodeResultEnd(m), ProtocolError);
-
-    ProgressEvent p;
-    p.jobId = 44;
-    p.simTimeSeconds = 1.25;
-    p.maxSimSeconds = 10.0;
-    p.samples = 125;
-    ProgressEvent p2 = decodeProgress(encodeProgress(p));
-    EXPECT_EQ(p2.jobId, 44u);
-    EXPECT_EQ(p2.simTimeSeconds, 1.25);
-    EXPECT_EQ(p2.maxSimSeconds, 10.0);
-    EXPECT_EQ(p2.samples, 125u);
-}
 
 TEST(ServeProto, CanonicalF32PreservesCsvCells)
 {
@@ -466,7 +514,7 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
             decodeTrajectoryBinary(wire.data(), wire.size());
         ASSERT_EQ(back.size(), samples.size());
         // The decoded samples re-render to the exact CSV bytes of the
-        // originals — the invariant the streamed hash check rests on.
+        // originals — the invariant the served golden hashes rest on.
         EXPECT_EQ(core::trajectoryCsvString(back),
                   core::trajectoryCsvString(samples));
         for (size_t i = 0; i < back.size(); ++i)
@@ -477,21 +525,21 @@ TEST(ServeProto, BinaryTrajectoryCodecPreservesCsvBytes)
     std::vector<uint8_t> wire =
         encodeTrajectoryBinary(randomSamples(rng, 3));
     EXPECT_THROW(decodeTrajectoryBinary(wire.data(), wire.size() - 1),
-                 ProtocolError);
+                 SerdeError);
     // A collision count that cannot ride the u32 record field throws
     // at encode time instead of truncating silently.
     std::vector<core::TrajectorySample> overflow = randomSamples(rng, 1);
     overflow[0].collisions = uint64_t(UINT32_MAX) + 1;
-    EXPECT_THROW(encodeTrajectoryBinary(overflow), ProtocolError);
+    EXPECT_THROW(encodeTrajectoryBinary(overflow), SerdeError);
 }
 
 TEST(ServeProto, BinaryTrajectoryDecodeFuzz)
 {
     // Seeded adversarial payloads for decodeTrajectoryBinary: random
     // bytes, truncations and bit flips of valid encodings. A payload
-    // that is not a whole number of records is a ProtocolError;
-    // anything else decodes one sample per record, and records the
-    // mutation did not touch decode exactly as before.
+    // that is not a whole number of records is a SerdeError; anything
+    // else decodes one sample per record, and records the mutation
+    // did not touch decode exactly as before.
     const size_t rec = kTrajectoryBinaryRecordBytes;
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -506,7 +554,7 @@ TEST(ServeProto, BinaryTrajectoryDecodeFuzz)
             if (wire.size() % rec != 0) {
                 EXPECT_THROW(
                     decodeTrajectoryBinary(wire.data(), wire.size()),
-                    ProtocolError);
+                    SerdeError);
                 return;
             }
             std::vector<core::TrajectorySample> got;
@@ -551,16 +599,19 @@ TEST(ServeProto, BinaryTrajectoryDecodeFuzz)
 
 TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
 {
-    // CSV payload sliced at an awkward chunk size (not a divisor).
+    // Records sliced at an awkward chunk size (not a divisor, not
+    // record-aligned): the assembler verifies the payload hash over
+    // the bytes as received and decodes the samples, which render to
+    // the canonical CSV.
     std::vector<core::TrajectorySample> samples;
     {
         Rng rng(0x5eed);
         samples = randomSamples(rng, 200);
     }
-    std::string csv = core::trajectoryCsvString(samples);
+    std::vector<uint8_t> bin = encodeTrajectoryBinary(samples);
     ServedResult scalars = denseScalarResult();
-    scalars.failureReason.clear();
-    std::vector<Message> frames = buildStream(9, csv, 777, scalars);
+    scalars.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
+    std::vector<Message> frames = buildStream(9, bin, 777, scalars);
     ASSERT_GT(frames.size(), 3u);
 
     ResultStreamAssembler assembler(9);
@@ -571,57 +622,25 @@ TEST(ServeProto, AssemblerReassemblesMultiChunkStream)
     ResultData d = assembler.takeResult();
     EXPECT_EQ(d.jobId, 9u);
     EXPECT_EQ(d.state, JobState::Done);
-    EXPECT_EQ(d.result.trajectoryCsv, csv);
+    EXPECT_EQ(d.payloadHash, fnv1a(bin.data(), bin.size()));
     EXPECT_EQ(d.result.collisions, scalars.collisions);
+    EXPECT_EQ(d.result.trajectoryHash, scalars.trajectoryHash);
+    EXPECT_EQ(servedHash(d.result), scalars.trajectoryHash);
 
-    // Binary streams verify over the record bytes themselves and
-    // deliver decoded samples; no CSV is rendered inside the fetch,
-    // but rendering the samples reproduces the canonical CSV.
-    std::vector<uint8_t> bin = encodeTrajectoryBinary(samples);
-    std::string binStr(bin.begin(), bin.end());
-    std::vector<Message> binFrames =
-        buildStream(10, binStr, 555, scalars);
-    // Rewrite the end frame for binary semantics.
-    ResultEndData end;
-    end.jobId = 10;
-    end.state = JobState::Done;
-    end.encoding = TrajectoryEncoding::Binary;
-    end.chunkCount = uint32_t(binFrames.size() - 1);
-    end.payloadBytes = bin.size();
-    end.trajectoryHash = fnv1a(core::trajectoryCsvString(samples));
+    // A corrupted payload is caught by the payload hash.
+    std::vector<uint8_t> evil = bin;
+    evil[evil.size() / 2] ^= 0x40;
+    std::vector<Message> evilFrames = buildStream(10, evil, 555, scalars);
+    ResultEndData end = decode<ResultEndData>(evilFrames.back());
     end.payloadHash = fnv1a(bin.data(), bin.size());
-    end.result = scalars;
-    binFrames.back() = encodeResultEnd(end);
-
-    ResultStreamAssembler binAssembler(10);
-    for (const Message &f : binFrames)
-        binAssembler.feed(f);
-    ASSERT_TRUE(binAssembler.complete());
-    ResultData bd = binAssembler.takeResult();
-    EXPECT_TRUE(bd.result.trajectoryCsv.empty())
-        << "Binary reassembly must not pay for a CSV render";
-    EXPECT_EQ(bd.payloadHash, end.payloadHash);
-    EXPECT_EQ(core::trajectoryCsvString(bd.result.trajectory),
-              core::trajectoryCsvString(samples));
-
-    // A corrupted binary payload is caught by the payload hash even
-    // though no CSV is rendered.
-    {
-        std::vector<uint8_t> evil = bin;
-        evil[evil.size() / 2] ^= 0x40;
-        std::string evilStr(evil.begin(), evil.end());
-        std::vector<Message> evilFrames =
-            buildStream(10, evilStr, 555, scalars);
-        evilFrames.back() = encodeResultEnd(end);
-        ResultStreamAssembler a(10);
-        size_t i = 0;
-        EXPECT_THROW(
-            {
-                for (; i < evilFrames.size(); ++i)
-                    a.feed(evilFrames[i]);
-            },
-            ProtocolError);
-    }
+    evilFrames.back() = encode(end);
+    ResultStreamAssembler a(10);
+    EXPECT_THROW(
+        {
+            for (const Message &f : evilFrames)
+                a.feed(f);
+        },
+        ProtocolError);
 }
 
 TEST(ServeProto, AssemblerResumesAfterRewind)
@@ -637,10 +656,9 @@ TEST(ServeProto, AssemblerResumesAfterRewind)
         Rng rng(0x7e5e7);
         samples = randomSamples(rng, 150);
     }
-    std::string csv = core::trajectoryCsvString(samples);
-    ServedResult scalars = denseScalarResult();
-    scalars.failureReason.clear();
-    std::vector<Message> first = buildStream(12, csv, 512, scalars);
+    std::vector<uint8_t> bin = encodeTrajectoryBinary(samples);
+    const size_t chunk = 12 * kTrajectoryBinaryRecordBytes;
+    std::vector<Message> first = buildStream(12, bin, chunk, {});
     ASSERT_GT(first.size(), 5u);
 
     ResultStreamAssembler a(12);
@@ -648,36 +666,38 @@ TEST(ServeProto, AssemblerResumesAfterRewind)
     for (size_t i = 0; i < 3; ++i)
         a.feed(first[i]);
     size_t resumeAt = a.payloadBytes();
-    ASSERT_EQ(resumeAt, 3u * 512);
+    ASSERT_EQ(resumeAt, 3 * chunk);
     a.rewindForResume();
     EXPECT_EQ(a.payloadBytes(), resumeAt); // prefix kept
 
     // The resumed stream: the byte suffix sliced fresh, seq from 0,
     // chunkCount covering only this stream's chunks, but payloadBytes
     // and the hash always describing the TOTAL payload.
-    std::string rest = csv.substr(resumeAt);
-    std::vector<Message> resumed = buildStream(12, rest, 700, scalars);
-    ResultEndData end = decodeResultEnd(resumed.back());
-    end.payloadBytes = csv.size();
-    end.trajectoryHash = fnv1a(csv);
-    end.payloadHash = fnv1a(csv);
-    resumed.back() = encodeResultEnd(end);
+    std::vector<uint8_t> rest(bin.begin() + std::ptrdiff_t(resumeAt),
+                              bin.end());
+    std::vector<Message> resumed = buildStream(12, rest, 700, {});
+    ResultEndData end = decode<ResultEndData>(resumed.back());
+    end.payloadBytes = bin.size();
+    end.payloadHash = fnv1a(bin.data(), bin.size());
+    resumed.back() = encode(end);
     for (const Message &f : resumed)
         a.feed(f);
     ASSERT_TRUE(a.complete());
-    EXPECT_EQ(a.takeResult().result.trajectoryCsv, csv);
+    EXPECT_EQ(core::trajectoryCsvString(a.takeResult().result.trajectory),
+              core::trajectoryCsvString(samples));
 }
 
 TEST(ServeProto, AssemblerRejectsProtocolViolations)
 {
-    std::string csv = "t,x\n0.01,1\n0.02,2\n0.03,3\n";
-    ServedResult scalars;
-    auto frames = [&] { return buildStream(5, csv, 8, scalars); };
+    Rng rng(0xa55e);
+    std::vector<uint8_t> bin =
+        encodeTrajectoryBinary(randomSamples(rng, 4));
+    auto frames = [&] { return buildStream(5, bin, 40, {}); };
 
     { // chunk for the wrong job
         ResultStreamAssembler a(5);
-        Message alien = encodeResultChunk({6, 0, {1, 2, 3}});
-        EXPECT_THROW(a.feed(alien), ProtocolError);
+        EXPECT_THROW(a.feed(encode(ResultChunkData{6, 0, {1, 2, 3}})),
+                     ProtocolError);
     }
     { // out-of-order sequence number
         ResultStreamAssembler a(5);
@@ -690,7 +710,7 @@ TEST(ServeProto, AssemblerRejectsProtocolViolations)
         for (const Message &f : frames())
             a.feed(f);
         ASSERT_TRUE(a.complete());
-        EXPECT_THROW(a.feed(encodeResultChunk({5, 99, {1}})),
+        EXPECT_THROW(a.feed(encode(ResultChunkData{5, 99, {1}})),
                      ProtocolError);
     }
     { // truncated: end frame claims more chunks than were fed
@@ -700,30 +720,23 @@ TEST(ServeProto, AssemblerRejectsProtocolViolations)
         EXPECT_THROW(a.feed(fs.back()), ProtocolError);
         EXPECT_FALSE(a.complete());
     }
-    { // corrupted verification hash — flipping either the payload
-      // hash or the canonical-CSV hash must be caught (a Csv stream
-      // requires them to agree)
-        for (int which = 0; which < 2; ++which) {
-            ResultStreamAssembler a(5);
-            std::vector<Message> fs = frames();
-            ResultEndData end = decodeResultEnd(fs.back());
-            if (which == 0)
-                end.payloadHash ^= 1;
-            else
-                end.trajectoryHash ^= 1;
-            fs.back() = encodeResultEnd(end);
-            for (size_t i = 0; i + 1 < fs.size(); ++i)
-                a.feed(fs[i]);
-            EXPECT_THROW(a.feed(fs.back()), ProtocolError);
-        }
+    { // corrupted payload hash
+        ResultStreamAssembler a(5);
+        std::vector<Message> fs = frames();
+        ResultEndData end = decode<ResultEndData>(fs.back());
+        end.payloadHash ^= 1;
+        fs.back() = encode(end);
+        for (size_t i = 0; i + 1 < fs.size(); ++i)
+            a.feed(fs[i]);
+        EXPECT_THROW(a.feed(fs.back()), ProtocolError);
     }
     { // a Progress frame must never reach the assembler
         ResultStreamAssembler a(5);
-        EXPECT_THROW(a.feed(encodeProgress({5, 0.5, 1.0, 10})),
+        EXPECT_THROW(a.feed(encode(ProgressEvent{5, 0.5, 1.0, 10})),
                      ProtocolError);
     }
     { // per-stream memory bound: oversized payload rejected
-        ResultStreamAssembler a(5, 16);
+        ResultStreamAssembler a(5, 100);
         std::vector<Message> fs = frames();
         a.feed(fs[0]);
         a.feed(fs[1]);
@@ -736,8 +749,8 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
     // Seeded adversarial streams: random chunk sizes, random framing
     // splits, and per-seed mutations (truncation, frames after end,
     // interleaved Progress, hash corruption). Every outcome must be
-    // either a verified result or a clean ProtocolError — no crash,
-    // no hang, no silently wrong bytes (ASan/UBSan presets make the
+    // either a verified result or a clean SerdeError — no crash, no
+    // hang, no silently wrong bytes (ASan/UBSan presets make the
     // "no corruption" half observable).
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -745,11 +758,11 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
 
         std::vector<core::TrajectorySample> samples =
             randomSamples(rng, rng.uniformInt(120));
-        std::string csv = core::trajectoryCsvString(samples);
+        std::vector<uint8_t> bin = encodeTrajectoryBinary(samples);
         uint64_t jobId = 1 + rng.uniformInt(1000);
-        size_t chunkBytes = 1 + rng.uniformInt(csv.size() + 64);
+        size_t chunkBytes = 1 + rng.uniformInt(bin.size() + 64);
         std::vector<Message> frames =
-            buildStream(jobId, csv, chunkBytes, ServedResult{});
+            buildStream(jobId, bin, chunkBytes, ServedResult{});
 
         // Interleave Progress frames (legal anywhere in the byte
         // stream; the dispatch layer keeps them out of the
@@ -757,9 +770,9 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
         std::vector<Message> stream;
         for (const Message &f : frames) {
             if (rng.uniformInt(3) == 0)
-                stream.push_back(encodeProgress(
-                    {jobId + 1, rng.uniform(0.0, 5.0), 5.0,
-                     uint64_t(rng.uniformInt(1000))}));
+                stream.push_back(encode(ProgressEvent{
+                    jobId + 1, rng.uniform(0.0, 5.0), 5.0,
+                    uint64_t(rng.uniformInt(1000))}));
             stream.push_back(f);
         }
 
@@ -771,12 +784,12 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
         } else if (mutation == 2) {
             // Frames after ResultEnd.
             stream.push_back(
-                encodeResultChunk({jobId, 0, {0x41, 0x42}}));
+                encode(ResultChunkData{jobId, 0, {0x41, 0x42}}));
         } else if (mutation == 3) {
             // Corrupt one frame: flip the end-frame hash.
-            ResultEndData end = decodeResultEnd(stream.back());
-            end.trajectoryHash ^= (1ULL << rng.uniformInt(64));
-            stream.back() = encodeResultEnd(end);
+            ResultEndData end = decode<ResultEndData>(stream.back());
+            end.payloadHash ^= (1ULL << rng.uniformInt(64));
+            stream.back() = encode(end);
         }
 
         // Serialize everything and push through a MessageBuffer in
@@ -784,7 +797,7 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
         // boundaries.
         std::vector<uint8_t> wire;
         for (const Message &m : stream)
-            serializeMessage(m, wire);
+            bridge::serializeFrame(m, wire);
         MessageBuffer mb;
         ResultStreamAssembler assembler(jobId);
         bool violated = false;
@@ -809,7 +822,7 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
                 }
                 try {
                     assembler.feed(m);
-                } catch (const ProtocolError &) {
+                } catch (const SerdeError &) {
                     violated = true;
                 }
             }
@@ -817,45 +830,21 @@ TEST(ServeProto, StreamFuzzReassemblyNeverCrashes)
         if (expectOk) {
             ASSERT_FALSE(violated);
             ASSERT_TRUE(assembler.complete());
-            EXPECT_EQ(assembler.takeResult().result.trajectoryCsv,
-                      csv);
+            EXPECT_EQ(core::trajectoryCsvString(
+                          assembler.takeResult().result.trajectory),
+                      core::trajectoryCsvString(samples));
         } else if (mutation == 1) {
             // Truncation drops the ResultEnd: the stream must be
             // visibly incomplete, never a silently short result.
             EXPECT_FALSE(assembler.complete());
         } else {
             // Mutations 2 and 3 must be detected, not absorbed:
-            // either a ProtocolError fired or (mutation 2) the
-            // stream completed validly before the trailing garbage,
-            // which the connection-level dispatch would then reject.
+            // either a violation fired or (mutation 2) the stream
+            // completed validly before the trailing garbage, which the
+            // connection-level dispatch would then reject.
             EXPECT_TRUE(violated || assembler.complete());
         }
     }
-}
-
-TEST(ServeProto, MalformedPayloadsThrowNotCrash)
-{
-    // Truncated SubmitMission payload.
-    Message m = encodeSubmitMission(core::MissionSpec{});
-    m.payload.resize(m.payload.size() / 2);
-    EXPECT_THROW(decodeSubmitMission(m), std::exception);
-
-    // Wrong type for a decoder.
-    EXPECT_THROW(decodeQueryStatus(encodeServerStats()),
-                 ProtocolError);
-
-    // Out-of-range enum byte.
-    Message rej = encodeRejected({RejectReason::QueueFull, ""});
-    rej.payload[0] = 0x7f;
-    EXPECT_THROW(decodeRejected(rej), ProtocolError);
-
-    // Oversized string length field.
-    Message err = encodeErrorReply("x");
-    err.payload[0] = 0xff;
-    err.payload[1] = 0xff;
-    err.payload[2] = 0xff;
-    err.payload[3] = 0x7f;
-    EXPECT_THROW(decodeErrorReply(err), std::exception);
 }
 
 // ============================================================= framing
@@ -934,35 +923,32 @@ TEST(ServeFraming, RoundTripSurvivesArbitraryFragmentation)
         ResultEndData end;
         end.jobId = chunk.jobId;
         end.state = JobState::Done;
-        end.encoding = TrajectoryEncoding::Binary;
         end.chunkCount = chunk.seq + 1;
         end.payloadBytes = chunk.bytes.size();
-        end.trajectoryHash = rng.next();
         end.payloadHash = rng.next();
         end.result.collisions = rng.next();
+        end.result.trajectoryHash = rng.next();
 
         std::vector<Message> sent{
-            encodeSubmitMission(spec),
-            encodeQueryStatus(rng.next()),
-            encodeFetchResult(rng.next(),
-                              rng.uniformInt(2) == 0
-                                  ? TrajectoryEncoding::Csv
-                                  : TrajectoryEncoding::Binary),
-            encodeCancelMission(rng.next()),
-            encodeServerStats(),
-            encodeShutdown(rng.uniformInt(2) == 0),
-            encodeSubmitOk({rng.next(), uint32_t(rng.uniformInt(100))}),
-            encodeRejected({RejectReason::ClientCap, "cap"}),
-            encodeResultChunk(chunk),
-            encodeResultEnd(end),
-            encodeProgress({rng.next(), rng.uniform(0.0, 10.0), 10.0,
-                            rng.next() % 100000}),
-            encodeShutdownReply(),
-            encodeErrorReply("some error"),
+            submitMsg(spec),
+            encode(StatusRequest{rng.next()}),
+            encode(FetchRequest{rng.next(), rng.next()}),
+            encode(CancelRequest{rng.next()}),
+            encode(StatsRequest{}),
+            encode(ShutdownRequest{rng.uniformInt(2) == 0}),
+            encode(SubmitOkReply{rng.next(),
+                                 uint32_t(rng.uniformInt(100))}),
+            encode(RejectedReply{RejectReason::ClientCap, "cap"}),
+            encode(chunk),
+            encode(end),
+            encode(ProgressEvent{rng.next(), rng.uniform(0.0, 10.0),
+                                 10.0, rng.next() % 100000}),
+            encode(ShutdownReply{}),
+            encode(ErrorInfo{"some error"}),
         };
         std::vector<uint8_t> stream;
         for (const Message &m : sent)
-            serializeMessage(m, stream);
+            bridge::serializeFrame(m, stream);
 
         MessageBuffer mb;
         std::vector<Message> got;
@@ -989,10 +975,11 @@ TEST(ServeFraming, HeaderValidatedBeforeAllocation)
         Message m;
         std::string err;
         EXPECT_EQ(mb.next(m, &err), FrameStatus::Malformed);
-        EXPECT_FALSE(err.empty());
+        EXPECT_NE(err.find("unknown serve message type"),
+                  std::string::npos);
         // Poison sticks even if valid bytes follow.
         std::vector<uint8_t> good;
-        serializeMessage(encodeServerStats(), good);
+        bridge::serializeFrame(encode(StatsRequest{}), good);
         mb.append(good.data(), good.size());
         EXPECT_EQ(mb.next(m, &err), FrameStatus::Malformed);
     }
@@ -1039,9 +1026,12 @@ TEST(ServeServer, GoldenParityOverTcp)
 
         core::MissionResult local = core::runMission(spec);
         std::string localCsv = core::trajectoryCsvString(local);
-        EXPECT_EQ(fnv1a(served.trajectoryCsv), fnv1a(localCsv))
+        std::string servedCsv =
+            core::trajectoryCsvString(served.trajectory);
+        EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv))
             << "served trajectory bytes drifted from the local run";
-        EXPECT_EQ(served.trajectoryCsv, localCsv);
+        EXPECT_EQ(servedCsv, localCsv);
+        EXPECT_EQ(served.trajectoryHash, fnv1a(localCsv));
         EXPECT_EQ(served.collisions, local.collisions);
         EXPECT_EQ(served.trajectorySamples, local.trajectory.size());
         EXPECT_EQ(served.completed, local.completed);
@@ -1082,7 +1072,7 @@ TEST(ServeServer, FourConcurrentClientsStayBitIdentical)
             }
             for (auto [id, s] : jobs) {
                 ServedResult r = client.waitResult(id);
-                if (fnv1a(r.trajectoryCsv) != expect[s])
+                if (servedHash(r) != expect[s])
                     bad++;
             }
             return bad;
@@ -1196,15 +1186,14 @@ TEST(ServeServer, BadSpecsAreRejectedNotExecuted)
     server.stop();
 }
 
-TEST(ServeServer, LongMissionStreamsGoldenParityBothEncodings)
+TEST(ServeServer, LongMissionStreamsGoldenParity)
 {
-    // The lifted mission-length limit, end to end: a spec whose
-    // trajectory CSV exceeds 8 MiB — larger than any single protocol
-    // frame, and rejected outright at admission before streaming —
-    // is admitted, executed (supervised, with the checkpoint-cadence
-    // cap keeping snapshot overhead bounded), streamed across many
-    // ResultChunk frames, and reassembles bit-identically to the
-    // local runMission() of the same spec in BOTH wire encodings.
+    // No mission-length limit, end to end: a spec whose trajectory
+    // CSV exceeds 8 MiB — larger than any single protocol frame — is
+    // admitted, executed (supervised, with the checkpoint-cadence cap
+    // keeping snapshot overhead bounded), streamed across many
+    // ResultChunk frames, and renders bit-identically to the local
+    // runMission() of the same spec.
     core::MissionSpec spec = canonicalSpec("A", 2.2);
     spec.syncGranularity = 20000; // one sample every 20k cycles
 
@@ -1219,38 +1208,26 @@ TEST(ServeServer, LongMissionStreamsGoldenParityBothEncodings)
     server.start();
     ServeClient client(server.port(), "127.0.0.1", 120000);
 
-    for (TrajectoryEncoding enc : {TrajectoryEncoding::Csv,
-                                   TrajectoryEncoding::Binary}) {
-        SCOPED_TRACE(trajectoryEncodingName(enc));
-        SubmitOutcome out = client.submit(spec);
-        ASSERT_TRUE(out.accepted) << out.detail;
-        ServedResult r =
-            client.waitResult(out.jobId, 120000, 10, enc);
-        // A Binary fetch delivers decoded samples (no CSV render on
-        // the fetch path); rendering them locally must reproduce the
-        // canonical CSV bit-for-bit.
-        std::string servedCsv =
-            !r.trajectoryCsv.empty()
-                ? std::move(r.trajectoryCsv)
-                : core::trajectoryCsvString(r.trajectory);
-        if (enc == TrajectoryEncoding::Binary) {
-            EXPECT_EQ(r.trajectory.size(), local.trajectory.size());
-        }
-        EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
-        EXPECT_TRUE(servedCsv == localCsv)
-            << "streamed trajectory bytes drifted from the local run";
-        EXPECT_EQ(r.trajectorySamples, local.trajectory.size());
-    }
+    SubmitOutcome out = client.submit(spec);
+    ASSERT_TRUE(out.accepted) << out.detail;
+    ServedResult r = client.waitResult(out.jobId, 120000);
+    EXPECT_EQ(r.trajectory.size(), local.trajectory.size());
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
+    EXPECT_TRUE(servedCsv == localCsv)
+        << "streamed trajectory bytes drifted from the local run";
+    EXPECT_EQ(r.trajectorySamples, local.trajectory.size());
 
     ServerStatsSnapshot s = server.stats();
-    EXPECT_EQ(s.streamsStarted, 2u);
-    EXPECT_EQ(s.streamsCompleted, 2u);
+    EXPECT_EQ(s.streamsStarted, 1u);
+    EXPECT_EQ(s.streamsCompleted, 1u);
     EXPECT_EQ(s.activeStreams, 0u);
-    // ~8.8 MiB at the default 256 KiB slice: dozens of chunks per
-    // stream, and the binary stream moves ~1.8x fewer payload bytes.
-    EXPECT_GT(s.streamedChunks, 40u);
-    EXPECT_GT(s.streamedPayloadBytes, localCsv.size());
-    EXPECT_LT(s.streamedPayloadBytes, 2u * localCsv.size());
+    // 44-byte records at the default 256 KiB slice: about 20 chunks,
+    // and ~1.8x fewer payload bytes than the CSV.
+    EXPECT_EQ(s.streamedPayloadBytes,
+              local.trajectory.size() * kTrajectoryBinaryRecordBytes);
+    EXPECT_GT(s.streamedChunks, 15u);
+    EXPECT_LT(s.streamedPayloadBytes, localCsv.size());
     server.stop();
 }
 
@@ -1390,7 +1367,7 @@ TEST(ServeServer, StalledReaderDoesNotBlockOtherClients)
     // Submit the canonical mission (~90 KiB of trajectory CSV). The
     // daemon assigns it job id 1 — it is the first submission.
     std::vector<uint8_t> wire;
-    serializeMessage(encodeSubmitMission(canonicalSpec("A")), wire);
+    bridge::serializeFrame(submitMsg(canonicalSpec("A")), wire);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
               ssize_t(wire.size()));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1401,7 +1378,7 @@ TEST(ServeServer, StalledReaderDoesNotBlockOtherClients)
     // opens (the record stays retained until an ack that will never
     // come) and wedges mid-flight.
     wire.clear();
-    serializeMessage(encodeFetchResult(1), wire);
+    bridge::serializeFrame(encode(FetchRequest{1, 0}), wire);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
               ssize_t(wire.size()));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1469,7 +1446,7 @@ TEST(ServeServer, DisconnectMidStreamKeepsJobFetchable)
               0);
 
     std::vector<uint8_t> wire;
-    serializeMessage(encodeSubmitMission(canonicalSpec("A")), wire);
+    bridge::serializeFrame(submitMsg(canonicalSpec("A")), wire);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
               ssize_t(wire.size()));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1478,7 +1455,7 @@ TEST(ServeServer, DisconnectMidStreamKeepsJobFetchable)
     EXPECT_GT(server.stats().retainedResultBytes, 0u);
 
     wire.clear();
-    serializeMessage(encodeFetchResult(1), wire);
+    bridge::serializeFrame(encode(FetchRequest{1, 0}), wire);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
               ssize_t(wire.size()));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1508,7 +1485,7 @@ TEST(ServeServer, DisconnectMidStreamKeepsJobFetchable)
     // the very same job and gets bit-identical bytes; its verified
     // ack is what finally releases the record.
     ServedResult refetched = observer.waitResult(1);
-    EXPECT_EQ(fnv1a(refetched.trajectoryCsv),
+    EXPECT_EQ(servedHash(refetched),
               localTrajectoryHash(canonicalSpec("A")));
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &st) {
         return st.resultsAcked == 1 && st.retainedResultBytes == 0;
@@ -1626,7 +1603,7 @@ TEST(ServeServer, ClientDisconnectMidMissionDoesNotKillServer)
     // fetchable by job id with bit-identical bytes.
     ServeClient fresh(server.port());
     ServedResult r = fresh.waitResult(runningJob, 30000);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(fresh.status(queuedJob).state, JobState::Cancelled);
     EXPECT_TRUE(fresh.submit(quickSpec(8)).accepted);
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
@@ -1803,7 +1780,7 @@ struct RawConn
     void send(const Message &m)
     {
         std::vector<uint8_t> wire;
-        serializeMessage(m, wire);
+        bridge::serializeFrame(m, wire);
         ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
                   ssize_t(wire.size()));
     }
@@ -1838,18 +1815,18 @@ struct RawConn
 
     /** Drain one result stream; returns the payload bytes and fills
      *  @p end. Fails the test on anything but chunks + end. */
-    std::string drainStream(ResultEndData &end)
+    std::vector<uint8_t> drainStream(ResultEndData &end)
     {
-        std::string bytes;
+        std::vector<uint8_t> bytes;
         for (;;) {
             Message m = next();
             if (m.type == MsgType::ResultChunk) {
-                ResultChunkData c = decodeResultChunk(m);
-                bytes.append(c.bytes.begin(), c.bytes.end());
+                ResultChunkData c = decode<ResultChunkData>(m);
+                bytes.insert(bytes.end(), c.bytes.begin(), c.bytes.end());
                 continue;
             }
             if (m.type == MsgType::ResultEnd) {
-                end = decodeResultEnd(m);
+                end = decode<ResultEndData>(m);
                 return bytes;
             }
             ADD_FAILURE() << "unexpected stream frame type 0x"
@@ -1875,24 +1852,29 @@ TEST(ServeDurability, AckProtocolVerifiesHashBeforeRelease)
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
         return s.completed == 1;
     }));
-    uint64_t hash = localTrajectoryHash(spec);
+    std::vector<uint8_t> records =
+        encodeTrajectoryBinary(core::runMission(spec).trajectory);
+    uint64_t hash = fnv1a(records.data(), records.size());
+    auto ack = [](RawConn &raw, uint64_t job, uint64_t h) {
+        return decode<AckInfo>(raw.request(encode(AckRequest{job, h})));
+    };
 
     RawConn raw(server.port());
     ASSERT_GE(raw.fd, 0);
     // A wrong hash must NOT release: the client's copy is suspect, so
-    // the server keeps the record for a clean refetch.
-    AckInfo ack = decodeAckReply(
-        raw.request(encodeAckResult(out.jobId, hash ^ 1)));
-    EXPECT_EQ(ack.outcome, AckOutcome::HashMismatch);
+    // the server keeps the record for a clean refetch. The canonical
+    // CSV hash is not a payload hash either.
+    EXPECT_EQ(ack(raw, out.jobId, hash ^ 1).outcome,
+              AckOutcome::HashMismatch);
+    EXPECT_EQ(ack(raw, out.jobId, localTrajectoryHash(spec)).outcome,
+              AckOutcome::HashMismatch);
     EXPECT_EQ(client.status(out.jobId).state, JobState::Done);
 
     // The right hash releases exactly once; a retried ack (the
     // reconnect case) reports UnknownJob, which clients treat as
     // success.
-    ack = decodeAckReply(raw.request(encodeAckResult(out.jobId, hash)));
-    EXPECT_EQ(ack.outcome, AckOutcome::Released);
-    ack = decodeAckReply(raw.request(encodeAckResult(out.jobId, hash)));
-    EXPECT_EQ(ack.outcome, AckOutcome::UnknownJob);
+    EXPECT_EQ(ack(raw, out.jobId, hash).outcome, AckOutcome::Released);
+    EXPECT_EQ(ack(raw, out.jobId, hash).outcome, AckOutcome::UnknownJob);
     EXPECT_EQ(client.status(out.jobId).state, JobState::Unknown);
 
     ServerStatsSnapshot s = server.stats();
@@ -1915,38 +1897,41 @@ TEST(ServeDurability, ResumeOffsetStreamsExactSuffix)
     ASSERT_TRUE(eventually(server, [](const ServerStatsSnapshot &s) {
         return s.completed == 1;
     }));
-    std::string localCsv =
-        core::trajectoryCsvString(core::runMission(spec));
-    ASSERT_GT(localCsv.size(), 64u);
+    core::MissionResult local = core::runMission(spec);
+    std::vector<uint8_t> records = encodeTrajectoryBinary(local.trajectory);
+    ASSERT_GT(local.trajectory.size(), 3u);
 
     RawConn raw(server.port());
     ASSERT_GE(raw.fd, 0);
 
-    // Resume from a mid-payload offset: the stream is exactly the
-    // byte suffix, numbered from 0, and ResultEnd still describes the
-    // TOTAL payload (size + full-payload hash) so the assembler's
+    // Resume from a mid-payload record boundary: the stream is exactly
+    // the byte suffix, numbered from 0, and ResultEnd still describes
+    // the TOTAL payload (size + full-payload hash) so the assembler's
     // final verification covers prefix + suffix together.
-    uint64_t offset = localCsv.size() / 3;
-    raw.send(encodeFetchResult(out.jobId, TrajectoryEncoding::Csv,
-                               offset));
+    uint64_t offset =
+        local.trajectory.size() / 3 * kTrajectoryBinaryRecordBytes;
+    raw.send(encode(FetchRequest{out.jobId, offset}));
     ResultEndData end;
-    std::string suffix = raw.drainStream(end);
-    EXPECT_EQ(suffix, localCsv.substr(offset));
-    EXPECT_EQ(end.payloadBytes, localCsv.size());
-    EXPECT_EQ(end.trajectoryHash, fnv1a(localCsv));
+    std::vector<uint8_t> suffix = raw.drainStream(end);
+    EXPECT_TRUE(std::equal(suffix.begin(), suffix.end(),
+                           records.begin() + std::ptrdiff_t(offset),
+                           records.end()));
+    EXPECT_EQ(end.payloadBytes, records.size());
+    EXPECT_EQ(end.payloadHash, fnv1a(records.data(), records.size()));
+    EXPECT_EQ(end.result.trajectoryHash,
+              fnv1a(core::trajectoryCsvString(local)));
     EXPECT_EQ(end.state, JobState::Done);
 
     // An offset beyond the payload is a client bug: explicit error,
     // job untouched.
-    Message reply = raw.request(encodeFetchResult(
-        out.jobId, TrajectoryEncoding::Csv, localCsv.size() + 1));
+    Message reply =
+        raw.request(encode(FetchRequest{out.jobId, records.size() + 44}));
     EXPECT_EQ(reply.type, MsgType::ErrorReply);
     EXPECT_EQ(client.status(out.jobId).state, JobState::Done);
 
-    // A binary resume must be record-aligned.
-    reply = raw.request(encodeFetchResult(
-        out.jobId, TrajectoryEncoding::Binary,
-        kTrajectoryBinaryRecordBytes + 1));
+    // A resume must be record-aligned.
+    reply = raw.request(
+        encode(FetchRequest{out.jobId, kTrajectoryBinaryRecordBytes + 1}));
     EXPECT_EQ(reply.type, MsgType::ErrorReply);
 
     ServerStatsSnapshot s = server.stats();
@@ -2031,7 +2016,7 @@ TEST(ServeDurability, RestartReplaysResultsAndDedups)
 
     // ...and its bytes are exactly what the mission produced.
     ServedResult r = client.waitResult(jobId);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_GT(r.trajectorySamples, 0u);
 
     // Fresh ids never collide with pre-restart ones.
@@ -2075,7 +2060,7 @@ TEST(ServeDurability, InterruptedSubmissionRequeuesAndRuns)
     EXPECT_EQ(fresh.jobId, 2u);
 
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(server.stats().warmRestoredJobs, 0u); // no checkpoint
     client.waitResult(2);
     server.stop();
@@ -2114,7 +2099,7 @@ TEST(ServeDurability, WarmRestoreResumesFromPersistedCheckpoint)
 
     ServeClient client(server.port());
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec))
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec))
         << "warm-restored trajectory drifted from the clean run";
     EXPECT_EQ(server.stats().warmRestoredJobs, 1u)
         << "checkpoint was ignored — the job ran cold";
@@ -2141,7 +2126,7 @@ TEST(ServeDurability, CorruptCheckpointFallsBackToColdRun)
     server.start();
     ServeClient client(server.port());
     ServedResult r = client.waitResult(1);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(server.stats().warmRestoredJobs, 0u);
     EXPECT_EQ(server.stats().completed, 1u);
     server.stop();
@@ -2187,7 +2172,7 @@ TEST(ServeDurability, ReconnectingClientSurvivesDroppedConnections)
     EXPECT_GE(client.reconnects(), 1u);
 
     ServedResult r = client.waitResult(out.jobId);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), localTrajectoryHash(spec));
+    EXPECT_EQ(servedHash(r), localTrajectoryHash(spec));
     EXPECT_EQ(client.status(out.jobId).state, JobState::Unknown);
     server.stop();
 }
@@ -2253,8 +2238,9 @@ TEST(ServeDurability, KillLoopStreamStaysBitIdentical)
 
     core::MissionResult local = core::runMission(spec);
     std::string localCsv = core::trajectoryCsvString(local);
-    EXPECT_EQ(fnv1a(r.trajectoryCsv), fnv1a(localCsv));
-    EXPECT_TRUE(r.trajectoryCsv == localCsv)
+    std::string servedCsv = core::trajectoryCsvString(r.trajectory);
+    EXPECT_EQ(fnv1a(servedCsv), fnv1a(localCsv));
+    EXPECT_TRUE(servedCsv == localCsv)
         << "bytes drifted across reconnect-resume";
     EXPECT_GE(client.reconnects(), 1u);
     server.stop();

@@ -157,7 +157,9 @@ TEST(Supervisor, WallClockBudgetCutsMissionOff)
     CosimConfig cfg = canonicalSpec("A").toConfig();
     cfg.maxSimSeconds = 60.0;
     SupervisorConfig sup;
-    sup.wallClockBudgetSeconds = 0.05;
+    // Well under the ~60-90 ms this mission takes on a 4-core Xeon,
+    // so the budget, not mission completion, ends the run.
+    sup.wallClockBudgetSeconds = 0.01;
     MissionSupervisor supervisor(cfg, sup);
     MissionResult r = supervisor.run();
 
