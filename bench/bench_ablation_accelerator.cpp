@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/batch.hh"
 #include "core/experiment.hh"
 #include "dnn/engine.hh"
 #include "soc/mem.hh"
@@ -38,8 +39,9 @@ latencyWith(const gemmini::GemminiConfig &g, int depth)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     std::printf("Ablation 1: Gemmini mesh / scratchpad sweep "
                 "(BOOM host, isolated inference latency)\n\n");
     std::printf("%-8s %-10s %-14s %-14s\n", "mesh", "spad[KiB]",

@@ -12,11 +12,13 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "core/experiment.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     // One 64x48 8-bit frame is 3072 B + 9 B of packet framing.

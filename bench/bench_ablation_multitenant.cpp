@@ -13,11 +13,13 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "core/experiment.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     std::printf("Ablation: background co-tenant share vs closed-loop "

@@ -16,12 +16,14 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "core/experiment.hh"
 #include "core/hostmodel.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     core::HostModel host;

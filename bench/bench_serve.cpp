@@ -364,8 +364,9 @@ runJournalCell(JournalMode mode)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     std::printf("rosed serving throughput (workers=%d, %d missions "
                 "per client, %.1fs simulated each)\n\n",
                 kWorkers, kMissionsPerClient, kSimSeconds);

@@ -13,12 +13,14 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "gemmini/gemmini.hh"
 #include "soc/config.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     std::printf("Table 2: Hardware configurations evaluated using "

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "dnn/classifier.hh"
 #include "dnn/engine.hh"
 #include "env/sensors.hh"
@@ -58,8 +59,9 @@ validationAccuracy(const rose::dnn::Model &model, int samples)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     dnn::ExecutionEngine boom(soc::configA());

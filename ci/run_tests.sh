@@ -112,11 +112,27 @@ ci/chaos_smoke.sh build-tsan/src/serve/rose_client \
 # Mission-path smoke: every benchmark workload runs real missions for
 # a few seconds. perfbench/run.py exits 1 on any failed mission or a
 # sim_digest that does not repeat across rounds and processes, so this
-# is a correctness gate on the mission path, not a timing gate.
+# is a correctness gate on the mission path, not a timing gate. The
+# seed-1 digest of each workload is pinned too: a change to what any
+# mission computes (frames, poses, packets, timing) moves it.
+declare -A seed1_digest=(
+    [sshape-inproc]=037d8f428e56c1e7
+    [tunnel-tcp-sync2m]=5fba8b5105552d90
+    [serve-short]=fd1cf7d0cc9045bc
+)
+smoke_log=$(mktemp)
+trap 'rm -f "$smoke_log"' EXIT
 for workload in sshape-inproc tunnel-tcp-sync2m serve-short; do
     echo "==== [perfbench] mission-path smoke: $workload ===="
     python3 perfbench/run.py --workload "$workload" --seed 1 \
-        --seconds 3 --trace 0
+        --seconds 3 --trace 0 | tee "$smoke_log"
+    digest=$(awk '$1 == "#" && $2 == "sim_digest" {print $3}' \
+        "$smoke_log")
+    if [[ "$digest" != "${seed1_digest[$workload]}" ]]; then
+        echo "sim_digest of $workload (seed 1) is '$digest'," \
+            "expected ${seed1_digest[$workload]}" >&2
+        exit 1
+    fi
 done
 
 echo "==== all stages passed ===="

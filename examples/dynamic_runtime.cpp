@@ -11,11 +11,13 @@
 
 #include <cstdio>
 
+#include "core/batch.hh"
 #include "core/cosim.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     core::CosimConfig cfg;

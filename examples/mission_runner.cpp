@@ -13,13 +13,20 @@
  *                  [--csv PATH] [--quiet]
  */
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "dnn/resnet.hh"
 
 namespace {
 
@@ -34,6 +41,44 @@ usage(const char *argv0)
         "          [--seed N] [--max-seconds S] [--csv PATH]\n"
         "          [--trace PATH.json] [--stats] [--quiet]\n",
         argv0);
+}
+
+[[noreturn]] void
+badValue(const char *flag, const std::string &why)
+{
+    std::fprintf(stderr, "%s: %s\n", flag, why.c_str());
+    std::exit(2);
+}
+
+/** Parse all of @p text as a number, or exit 2 naming @p flag. */
+template <class T>
+T
+parseNumber(const char *flag, const char *text)
+{
+    T v{};
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || ptr == text)
+        badValue(flag, std::string("not a number: '") + text + "'");
+    return v;
+}
+
+/** Exit 2 when @p spec's values cannot describe a mission. */
+void
+checkSpec(const rose::core::MissionSpec &spec)
+{
+    const std::vector<int> &zoo = rose::dnn::resnetZoo();
+    if (std::find(zoo.begin(), zoo.end(), spec.modelDepth) == zoo.end())
+        badValue("--model", "depth " + std::to_string(spec.modelDepth) +
+                                " is not in the zoo (6, 11, 14, 18, 34)");
+    if (!std::isfinite(spec.velocity) || spec.velocity < 0.0)
+        badValue("--velocity", "must be finite and non-negative");
+    if (!std::isfinite(spec.initialYawDeg))
+        badValue("--yaw0", "must be finite");
+    if (spec.syncGranularity == 0)
+        badValue("--sync", "must be at least 1 M cycles");
+    if (!std::isfinite(spec.maxSimSeconds) || spec.maxSimSeconds <= 0.0)
+        badValue("--max-seconds", "must be finite and positive");
 }
 
 } // namespace
@@ -66,22 +111,27 @@ main(int argc, char **argv)
         } else if (a == "--soc") {
             spec.socName = need("--soc");
         } else if (a == "--model") {
-            spec.modelDepth = std::atoi(need("--model"));
+            spec.modelDepth = parseNumber<int>("--model", need("--model"));
         } else if (a == "--velocity") {
-            spec.velocity = std::atof(need("--velocity"));
+            spec.velocity =
+                parseNumber<double>("--velocity", need("--velocity"));
         } else if (a == "--yaw0") {
-            spec.initialYawDeg = std::atof(need("--yaw0"));
+            spec.initialYawDeg =
+                parseNumber<double>("--yaw0", need("--yaw0"));
         } else if (a == "--sync") {
-            spec.syncGranularity =
-                Cycles(std::atoll(need("--sync"))) * kMegaCycles;
+            Cycles mcycles = parseNumber<Cycles>("--sync", need("--sync"));
+            if (mcycles > ~Cycles(0) / kMegaCycles)
+                badValue("--sync", "too large");
+            spec.syncGranularity = mcycles * kMegaCycles;
         } else if (a == "--dynamic") {
             spec.mode = runtime::RuntimeMode::Dynamic;
         } else if (a == "--tcp") {
             use_tcp = true;
         } else if (a == "--seed") {
-            spec.seed = uint64_t(std::atoll(need("--seed")));
+            spec.seed = parseNumber<uint64_t>("--seed", need("--seed"));
         } else if (a == "--max-seconds") {
-            spec.maxSimSeconds = std::atof(need("--max-seconds"));
+            spec.maxSimSeconds =
+                parseNumber<double>("--max-seconds", need("--max-seconds"));
         } else if (a == "--csv") {
             csv_path = need("--csv");
         } else if (a == "--trace") {
@@ -100,20 +150,30 @@ main(int argc, char **argv)
         }
     }
 
-    core::CosimConfig cfg = spec.toConfig();
-    if (use_tcp)
-        cfg.transport = core::TransportKind::Tcp;
+    // Names (world, vehicle, SoC) are checked by building the
+    // co-simulation, before the run and before the banner.
+    checkSpec(spec);
+    core::CosimConfig cfg;
+    std::unique_ptr<core::CoSimulation> sim;
+    try {
+        cfg = spec.toConfig();
+        if (use_tcp)
+            cfg.transport = core::TransportKind::Tcp;
+        sim = std::make_unique<core::CoSimulation>(cfg);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 
     if (!quiet) {
         std::printf("rose-runner: %s  transport=%s\n",
                     spec.label().c_str(), use_tcp ? "tcp" : "in-proc");
     }
 
-    core::CoSimulation sim(cfg);
     soc::ActionTrace trace;
     if (!trace_path.empty())
-        sim.socSim().setTrace(&trace);
-    core::MissionResult r = sim.run();
+        sim->socSim().setTrace(&trace);
+    core::MissionResult r = sim->run();
 
     if (!csv_path.empty())
         core::writeTrajectoryCsv(csv_path, r);
@@ -138,6 +198,6 @@ main(int argc, char **argv)
             std::printf("trajectory csv: %s\n", csv_path.c_str());
     }
     if (stats)
-        sim.printSummary(std::cout);
+        sim->printSummary(std::cout);
     return r.completed ? 0 : 1;
 }

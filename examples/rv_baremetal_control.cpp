@@ -19,6 +19,7 @@
 
 #include "bridge/rose_bridge.hh"
 #include "bridge/transport.hh"
+#include "core/batch.hh"
 #include "env/envsim.hh"
 #include "rv/assembler.hh"
 #include "rv/core.hh"
@@ -71,8 +72,9 @@ drain:
 )";
 
 int
-main()
+main(int argc, char **argv)
 {
+    rose::core::parseNoArgCli(argc, argv);
     using namespace rose;
 
     // --- Environment + synchronizer side ----------------------------

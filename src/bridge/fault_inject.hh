@@ -85,6 +85,7 @@ class FaultInjectTransport : public Transport
 
     ~FaultInjectTransport() override;
 
+    using Transport::send;
     void send(const Packet &p) override;
     bool recv(Packet &out) override;
 

@@ -30,13 +30,17 @@ class PacketFifo
         : capacity_(capacity_bytes) {}
 
     /** Try to stage a packet; returns false when full (backpressure). */
+    bool push(const Packet &p) { return push(Packet(p)); }
+
+    /** Stage a packet without copying it; on backpressure @p p is
+     *  left as it was. */
     bool
-    push(const Packet &p)
+    push(Packet &&p)
     {
         if (used_ + p.wireSize() > capacity_)
             return false;
         used_ += p.wireSize();
-        q_.push_back(p);
+        q_.push_back(std::move(p));
         return true;
     }
 

@@ -1,5 +1,8 @@
 #include "rose_bridge.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/logging.hh"
 #include "util/serde.hh"
 
@@ -57,6 +60,28 @@ RoseBridge::read(uint64_t offset)
                   std::hex, offset);
         return 0;
     }
+}
+
+void
+RoseBridge::readBurst(uint64_t offset, uint8_t *dst, size_t words)
+{
+    const Packet *head = rx_.front();
+    if (offset != reg::kRxData || !head) {
+        soc::MmioDevice::readBurst(offset, dst, words);
+        return;
+    }
+    // Bytes past the payload end read as zero, as in readRxDataWord.
+    stats_.mmioReads += words;
+    size_t n = 4 * words;
+    size_t avail = rxReadPos_ < head->payload.size()
+                       ? head->payload.size() - rxReadPos_
+                       : 0;
+    size_t copied = std::min(n, avail);
+    if (copied > 0)
+        std::memcpy(dst, head->payload.data() + rxReadPos_, copied);
+    if (n > copied)
+        std::memset(dst + copied, 0, n - copied);
+    rxReadPos_ += n;
 }
 
 void
@@ -148,7 +173,7 @@ RoseBridge::hostService()
                           packetTypeName(p.type));
                 break;
             }
-            if (rx_.push(p)) {
+            if (rx_.push(std::move(p))) {
                 ++stats_.rxPackets;
             } else {
                 // A real bridge would NAK at the protocol level; we
@@ -164,7 +189,7 @@ RoseBridge::hostService()
     // Outbound: SoC TX queue -> synchronizer.
     Packet out;
     while (tx_.pop(out)) {
-        transport_.send(out);
+        transport_.send(std::move(out));
         ++moved;
     }
     return moved;

@@ -79,6 +79,8 @@ class RoseBridge : public soc::MmioDevice
     std::string deviceName() const override { return "rose-bridge"; }
     uint64_t windowSize() const override { return reg::kWindowBytes; }
     uint32_t read(uint64_t offset) override;
+    /** RX_DATA bursts copy the head payload in one pass. */
+    void readBurst(uint64_t offset, uint8_t *dst, size_t words) override;
     void write(uint64_t offset, uint32_t value) override;
 
     // ------------------------------------------------ control unit API

@@ -33,12 +33,13 @@ TargetDriver::rxPop()
     Packet p;
     p.type = static_cast<PacketType>(mmioRead(reg::kRxType) & 0xff);
     uint32_t len = mmioRead(reg::kRxLen);
-    p.payload.reserve(len);
-    for (uint32_t off = 0; off < len; off += 4) {
-        uint32_t word = mmioRead(reg::kRxData);
-        for (int b = 0; b < 4 && off + b < len; ++b)
-            p.payload.push_back((word >> (8 * b)) & 0xff);
-    }
+    // One RX_DATA read per payload word, issued as one burst; the
+    // tail bytes of the last word are dropped.
+    size_t words = (size_t(len) + 3) / 4;
+    p.payload.resize(4 * words);
+    dev_.readBurst(reg::kRxData, p.payload.data(), words);
+    accesses_ += words;
+    p.payload.resize(len);
     mmioWrite(reg::kRxConsume, 1);
     return p;
 }

@@ -32,8 +32,8 @@ class TargetDriver
     uint32_t rxCount();
 
     /**
-     * Pop the head RX packet, if any. Costs 3 + ceil(len/4) reads and
-     * one write.
+     * Pop the head RX packet, if any. Costs 3 + ceil(len/4) reads (the
+     * payload words as one MmioDevice::readBurst) and one write.
      */
     std::optional<Packet> rxPop();
 

@@ -56,14 +56,16 @@ class InProcEndpoint : public Transport
         (isA_ ? state_->aAlive : state_->bAlive) = false;
     }
 
+    void send(const Packet &p) override { send(Packet(p)); }
+
     void
-    send(const Packet &p) override
+    send(Packet &&p) override
     {
         if (state() != TransportState::Open)
             throw TransportError("in-process send: peer endpoint "
                                  "destroyed");
-        (isA_ ? state_->aToB : state_->bToA).push_back(p);
         sent_ += p.wireSize();
+        (isA_ ? state_->aToB : state_->bToA).push_back(std::move(p));
     }
 
     bool
@@ -184,7 +186,8 @@ TcpTransport::send(const Packet &p)
                                              ? "closed"
                                              : "errored") +
                              " transport");
-    std::vector<uint8_t> wire;
+    std::vector<uint8_t> &wire = txWire_;
+    wire.clear();
     serializePacket(p, wire);
     size_t off = 0;
     while (off < wire.size()) {
@@ -234,6 +237,10 @@ TcpTransport::pump()
         if (n > 0) {
             rx_.append(tmp, size_t(n));
             received_ += uint64_t(n);
+            // A short read drained the socket buffer: one more recv(2)
+            // would only report EAGAIN.
+            if (size_t(n) < sizeof(tmp))
+                return;
         } else if (n == 0) {
             // Orderly shutdown by the peer: surface it instead of
             // pretending "no data yet" forever.
@@ -258,9 +265,15 @@ TcpTransport::pump()
 bool
 TcpTransport::recv(Packet &out)
 {
-    pump();
+    // Read the socket only when no complete frame is buffered, so a
+    // drain of k packets costs one pump, not k + 1.
     std::string err;
-    switch (rx_.next(out, &err)) {
+    FrameStatus st = rx_.next(out, &err);
+    if (st == FrameStatus::NeedMore) {
+        pump();
+        st = rx_.next(out, &err);
+    }
+    switch (st) {
       case FrameStatus::Ok:
         return true;
       case FrameStatus::NeedMore:

@@ -64,6 +64,12 @@ class Transport
     virtual void send(const Packet &p) = 0;
 
     /**
+     * Queue a packet the caller no longer needs. The in-process
+     * channel takes over its payload; the default copies via send().
+     */
+    virtual void send(Packet &&p) { send(static_cast<const Packet &>(p)); }
+
+    /**
      * Poll for one received packet.
      *
      * @return true when a packet was delivered into @p out.
@@ -136,6 +142,7 @@ class TcpTransport : public Transport
     TcpTransport(const TcpTransport &) = delete;
     TcpTransport &operator=(const TcpTransport &) = delete;
 
+    using Transport::send;
     void send(const Packet &p) override;
     bool recv(Packet &out) override;
     TransportState state() const override { return state_; }
@@ -168,6 +175,8 @@ class TcpTransport : public Transport
 
     int fd_;
     FrameBuffer rx_;
+    /** Wire bytes of the packet being sent, reused across sends. */
+    std::vector<uint8_t> txWire_;
     TransportState state_ = TransportState::Open;
     int sendTimeoutMs_ = 5000;
     uint64_t sent_ = 0;

@@ -122,6 +122,24 @@ parseSweepCli(int &argc, char **argv, const char *positionals_usage,
 }
 
 void
+parseNoArgCli(int argc, char **argv)
+{
+    if (argc < 2)
+        return;
+    const std::string usage = std::string("usage: ") + argv[0] + "\n";
+    std::string arg = argv[1];
+    if (arg == "-h" || arg == "--help") {
+        std::fputs(usage.c_str(), stdout);
+        std::exit(0);
+    }
+    std::fprintf(stderr, "%s: %s\n%s",
+                 arg.starts_with("-") ? "unknown option"
+                                      : "unexpected argument",
+                 arg.c_str(), usage.c_str());
+    std::exit(2);
+}
+
+void
 exitIfSweepFailed(const std::vector<MissionResult> &results)
 {
     size_t failed = 0;

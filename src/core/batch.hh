@@ -179,6 +179,13 @@ BatchCli parseSweepCli(int &argc, char **argv,
                        int max_positionals = 0);
 
 /**
+ * Front end of the programs that take no arguments: -h/--help prints
+ * the usage line to stdout and exits 0; any other argument prints it
+ * to stderr and exits 2 before any work runs.
+ */
+void parseNoArgCli(int argc, char **argv);
+
+/**
  * Failed-slot check of a sweep: when any mission in @p results
  * crashed, prints "N of M batch slots failed" to stderr and exits 1
  * (the mission layer has already logged each slot's reason). Call it before writing the batch report, so a

@@ -19,42 +19,51 @@ HeadOutput::argmax() const
 
 namespace {
 
+/** Sky shade of every template, as the renderer draws it. */
+constexpr float kSkyShade = 0.85f;
+/** Ground shade below the horizon of the open-corridor profile. */
+constexpr float kOpenGroundShade = 0.15f;
+
 /**
  * Expected column profile for a wall at perpendicular distance d_perp
  * seen through a column at camera-relative azimuth alpha, mirroring
  * the renderer's shading model (learned by the trained network).
- * Writes @p height values to @p out.
+ * Writes @p height values to @p out, taking floor rows from
+ * @p floor_row, and returns the profile's band model. The per-row
+ * ladder (r < top: sky, else r > bot: floor, else wall) resolves to
+ * three contiguous bands: for integer r, r < top iff r < ceil(top)
+ * and r > bot iff r >= floor(bot) + 1, and the floor test is
+ * subordinate to the sky test.
  */
-void
+PoseScratch::Band
 expectedColumn(double d_perp, double alpha, int height, double focal,
-               const EstimatorConfig &cfg, float *out)
+               const EstimatorConfig &cfg, const float *floor_row,
+               float *out)
 {
     double mid = height / 2.0 - 0.5;
     double d_shade = d_perp / std::max(0.2, std::cos(alpha));
     double top = mid - focal * (cfg.wallHeight - cfg.camAltitude) / d_perp;
     double bot = mid + focal * cfg.camAltitude / d_perp;
-    double wall = 0.25 + 0.6 / (1.0 + 0.12 * d_shade);
-    for (int r = 0; r < height; ++r) {
-        if (r < top) {
-            out[size_t(r)] = 0.85f;
-        } else if (r > bot) {
-            double floor_d =
-                focal * cfg.camAltitude / std::max(0.5, double(r) - mid);
-            out[size_t(r)] =
-                float(0.10 + 0.25 / (1.0 + 0.2 * floor_d));
-        } else {
-            out[size_t(r)] = float(wall);
-        }
-    }
-}
+    float wall = float(0.25 + 0.6 / (1.0 + 0.12 * d_shade));
 
-/** Open-corridor profile (no wall within range). */
-void
-openColumn(int height, float *out)
-{
-    double mid = height / 2.0 - 0.5;
-    for (int r = 0; r < height; ++r)
-        out[size_t(r)] = r < mid ? 0.85f : 0.15f;
+    // Edges clamped in double before the int conversion; a NaN edge
+    // matches no row, as in the ladder.
+    double sky_end = std::ceil(top);
+    double floor_begin = bot < 0.0 ? 0.0 : std::floor(bot) + 1.0;
+    PoseScratch::Band band;
+    band.skyEnd = sky_end > 0.0 ? (sky_end < height ? int(sky_end) : height)
+                                : 0;
+    band.floorBegin =
+        std::max(band.skyEnd,
+                 floor_begin < height ? int(floor_begin) : height);
+    band.wall = wall;
+    for (int r = 0; r < band.skyEnd; ++r)
+        out[size_t(r)] = kSkyShade;
+    for (int r = band.skyEnd; r < band.floorBegin; ++r)
+        out[size_t(r)] = wall;
+    for (int r = band.floorBegin; r < height; ++r)
+        out[size_t(r)] = floor_row[size_t(r)];
+    return band;
 }
 
 /**
@@ -81,9 +90,9 @@ ssdBelow(const float *profile, int height, const double *col,
 
 /**
  * (Re)build the cached geometry in @p s for the given key: per-column
- * azimuths, candidate distances, and the whole template bank. The
- * templates depend only on geometry, so fitting a frame reduces to
- * SSD sweeps over precomputed profiles.
+ * azimuths, candidate distances, the whole template bank and its band
+ * models. The templates depend only on geometry, so fitting a frame
+ * reduces to SSD sweeps over precomputed profiles.
  */
 void
 rebuildScratch(PoseScratch &s, int width, int height,
@@ -104,18 +113,135 @@ rebuildScratch(PoseScratch &s, int width, int height,
     for (double d = 0.6; d < cfg.maxDepth; d *= 1.22)
         s.candidates.push_back(d);
 
-    s.profiles.resize(s.candidates.size() * size_t(width) * height);
-    for (size_t ci = 0; ci < s.candidates.size(); ++ci) {
+    // The floor shade depends only on the row.
+    double mid = height / 2.0 - 0.5;
+    bool in_range = true;
+    s.floorRow.resize(size_t(height));
+    for (int r = 0; r < height; ++r) {
+        double floor_d =
+            focal * cfg.camAltitude / std::max(0.5, double(r) - mid);
+        float f = float(0.10 + 0.25 / (1.0 + 0.2 * floor_d));
+        s.floorRow[size_t(r)] = f;
+        in_range = in_range && f >= 0.f && f <= 1.f;
+    }
+
+    const size_t ncand = s.candidates.size();
+    s.profiles.resize(ncand * size_t(width) * height);
+    s.bands.resize(size_t(width) * ncand);
+    for (size_t ci = 0; ci < ncand; ++ci) {
         for (int c = 0; c < width; ++c) {
             float *dst = &s.profiles[(ci * size_t(width) + size_t(c)) *
                                      size_t(height)];
-            expectedColumn(s.candidates[ci], s.alpha[size_t(c)], height,
-                           focal, cfg, dst);
+            PoseScratch::Band b =
+                expectedColumn(s.candidates[ci], s.alpha[size_t(c)],
+                               height, focal, cfg, s.floorRow.data(),
+                               dst);
+            in_range = in_range && b.wall >= 0.0 && b.wall <= 1.0;
+            s.bands[size_t(c) * ncand + ci] = b;
         }
     }
 
+    // Open-corridor profile (no wall within range): horizon split,
+    // r < mid for integer r.
+    s.openSkyEnd = std::clamp(int(std::ceil(mid)), 0, height);
     s.openProfile.resize(size_t(height));
-    openColumn(height, s.openProfile.data());
+    for (int r = 0; r < height; ++r)
+        s.openProfile[size_t(r)] =
+            r < s.openSkyEnd ? kSkyShade : kOpenGroundShade;
+    s.bandsCertified = in_range;
+}
+
+/**
+ * Band-sum estimate of sum over rows [a, b) of (v - x_r)^2 from the
+ * column moments (cancellation-prone; bounded in DESIGN.md §5h).
+ */
+inline double
+flatBandSsd(const PoseScratch::ColumnSums *cs, int a, int b, double v)
+{
+    return double(b - a) * v * v - 2.0 * v * (cs[b].x - cs[a].x) +
+           (cs[b].x2 - cs[a].x2);
+}
+
+/**
+ * Fit one column by row-ordered SSD over the candidates listed in
+ * @p sweep (ascending; index ncand stands for the open profile).
+ * Returns the first candidate with the least SSD below 1e30, or -1.
+ */
+int
+sweepColumn(const PoseScratch &s, int c, const int *sweep, size_t n)
+{
+    const size_t ncand = s.candidates.size();
+    double best = 1e30;
+    int winner = -1;
+    for (size_t i = 0; i < n; ++i) {
+        size_t k = size_t(sweep[i]);
+        const float *profile =
+            k == ncand ? s.openProfile.data()
+                       : &s.profiles[(k * size_t(s.width) + size_t(c)) *
+                                     size_t(s.height)];
+        double e = ssdBelow(profile, s.height, s.colBuf.data(), best);
+        if (e < best) {
+            best = e;
+            winner = int(k);
+        }
+    }
+    return winner;
+}
+
+/**
+ * The certified band-sum fit of column @p c (pixels in s.colBuf, all
+ * in [0, 1]): bound every candidate's SSD in O(1) from prefix sums,
+ * then sweep only the candidates within 2E of the least bound. Picks
+ * the same winner as sweeping every candidate (DESIGN.md §5h).
+ */
+int
+fitColumn(PoseScratch &s, int c)
+{
+    const int H = s.height;
+    const size_t ncand = s.candidates.size();
+    const double sky = kSkyShade;
+    const double *x = s.colBuf.data();
+    PoseScratch::ColumnSums *cs = s.sums.data();
+
+    cs[0] = {};
+    for (int r = 0; r < H; ++r) {
+        double d = sky - x[r];
+        cs[r + 1].skySsd = cs[r].skySsd + d * d;
+        cs[r + 1].x = cs[r].x + x[r];
+        cs[r + 1].x2 = cs[r].x2 + x[r] * x[r];
+    }
+    cs[H].floorSsd = 0.0;
+    for (int r = H - 1; r >= 0; --r) {
+        double d = double(s.floorRow[size_t(r)]) - x[r];
+        cs[r].floorSsd = cs[r + 1].floorSsd + d * d;
+    }
+
+    const PoseScratch::Band *bands = &s.bands[size_t(c) * ncand];
+    double least = 1e300;
+    for (size_t k = 0; k < ncand; ++k) {
+        const PoseScratch::Band &b = bands[k];
+        double t = cs[b.skyEnd].skySsd +
+                   flatBandSsd(cs, b.skyEnd, b.floorBegin, b.wall) +
+                   cs[b.floorBegin].floorSsd;
+        s.bound[k] = t;
+        least = std::min(least, t);
+    }
+    double t_open = cs[s.openSkyEnd].skySsd +
+                    flatBandSsd(cs, s.openSkyEnd, H, kOpenGroundShade);
+    s.bound[ncand] = t_open;
+    least = std::min(least, t_open);
+
+    // |bound - swept SSD| <= E for every candidate, so the swept
+    // minimizers all lie within 2E of the least bound.
+    const double h = H;
+    const double err = 128.0 * (9.0 * h + 24.0) * h * 0x1p-53;
+    size_t n = 0;
+    for (size_t k = 0; k <= ncand; ++k)
+        if (s.bound[k] <= least + 2.0 * err)
+            s.sweep[n++] = int(k);
+    if (n == 1)
+        return s.sweep[0];
+    return sweepColumn(s, c, s.sweep.data(), n);
 }
 
 } // namespace
@@ -136,44 +262,45 @@ estimatePose(const env::Image &img, const EstimatorConfig &cfg,
         rebuildScratch(s, img.width, img.height, cfg, focal);
     }
 
+    const size_t ncand = s.candidates.size();
     s.rayDist.resize(size_t(img.width));
     s.open.resize(size_t(img.width));
     s.colBuf.resize(size_t(img.height));
+    s.sums.resize(size_t(img.height) + 1);
+    s.bound.resize(ncand + 1);
+    s.sweep.resize(ncand + 1);
 
     for (int c = 0; c < img.width; ++c) {
         double alpha = s.alpha[size_t(c)];
 
         // Gather the column once; every candidate sweep reads it
         // contiguously instead of striding through the image.
-        for (int r = 0; r < img.height; ++r)
-            s.colBuf[size_t(r)] = double(img.at(r, c));
+        bool in_range = true;
+        for (int r = 0; r < img.height; ++r) {
+            double x = double(img.at(r, c));
+            s.colBuf[size_t(r)] = x;
+            in_range = in_range && x >= 0.0 && x <= 1.0;
+        }
 
-        double best = 1e30;
-        double best_d = cfg.maxDepth;
-        bool best_open = false;
-        for (size_t ci = 0; ci < s.candidates.size(); ++ci) {
-            const float *profile =
-                &s.profiles[(ci * size_t(img.width) + size_t(c)) *
-                            size_t(img.height)];
-            double e = ssdBelow(profile, img.height, s.colBuf.data(),
-                                best);
-            if (e < best) {
-                best = e;
-                best_d = s.candidates[ci];
-                best_open = false;
-            }
+        int winner;
+        if (in_range && s.bandsCertified) {
+            winner = fitColumn(s, c);
+        } else {
+            // Outside the bound's premises (NaN or out-of-range
+            // pixels): sweep every candidate.
+            for (size_t k = 0; k <= ncand; ++k)
+                s.sweep[k] = int(k);
+            winner = sweepColumn(s, c, s.sweep.data(), ncand + 1);
         }
-        double e_open = ssdBelow(s.openProfile.data(), img.height,
-                                 s.colBuf.data(), best);
-        if (e_open < best) {
-            best_open = true;
-            best_d = cfg.maxDepth;
-        }
-        s.open[size_t(c)] = best_open;
+        bool open = winner == int(ncand);
+        double best_d = winner >= 0 && !open
+                            ? s.candidates[size_t(winner)]
+                            : cfg.maxDepth;
+        s.open[size_t(c)] = open;
         // Convert the fitted perpendicular distance to ray distance.
         s.rayDist[size_t(c)] =
-            best_open ? cfg.maxDepth
-                      : best_d / std::max(0.2, std::cos(alpha));
+            open ? cfg.maxDepth
+                 : best_d / std::max(0.2, std::cos(alpha));
     }
 
     // --- Heading: the deepest view direction points down the corridor.

@@ -93,12 +93,12 @@ struct PoseEstimate
  * of content live here:
  *
  *  - *cached geometry*, keyed on (image size, config): the per-column
- *    view azimuths and the full template bank — one expected column
- *    profile per (candidate distance, column). These depend only on
- *    geometry, not pixels, so they are computed once and invalidated
- *    when the key changes;
- *  - *per-call scratch* (fitted ray distances, open flags), reused
- *    across frames.
+ *    view azimuths, the full template bank — one expected column
+ *    profile per (candidate distance, column) — and each template's
+ *    band model. These depend only on geometry, not pixels, so they
+ *    are computed once and invalidated when the key changes;
+ *  - *per-call scratch* (column sums, bounds, fitted ray distances,
+ *    open flags), reused across frames.
  *
  * After the first frame at a given image size, estimatePose performs
  * zero heap allocations. Single-owner, not thread-safe; each
@@ -107,6 +107,27 @@ struct PoseEstimate
  */
 struct PoseScratch
 {
+    /**
+     * Band model of one template column: rows [0, skyEnd) hold the
+     * sky shade, rows [skyEnd, floorBegin) the wall level, and rows
+     * [floorBegin, height) the shared per-row floor shade (floorRow).
+     */
+    struct Band
+    {
+        int skyEnd = 0;
+        int floorBegin = 0;
+        double wall = 0.0;
+    };
+
+    /** Prefix/suffix sums of the current column x (DESIGN.md §5h). */
+    struct ColumnSums
+    {
+        double skySsd = 0.0;   ///< sum over r < i of (sky - x_r)^2
+        double x = 0.0;        ///< sum over r < i of x_r
+        double x2 = 0.0;       ///< sum over r < i of x_r^2
+        double floorSsd = 0.0; ///< sum over r >= i of (floor_r - x_r)^2
+    };
+
     // Cache key.
     int width = -1;
     int height = -1;
@@ -117,6 +138,13 @@ struct PoseScratch
     std::vector<double> candidates;  ///< log-spaced wall distances
     std::vector<float> profiles;     ///< [cand][col][row] templates
     std::vector<float> openProfile;  ///< [row] open-corridor template
+    std::vector<Band> bands;         ///< [col][cand] band models
+    std::vector<float> floorRow;     ///< [row] floor shade
+    /** Rows [0, openSkyEnd) of openProfile are sky, the rest ground. */
+    int openSkyEnd = 0;
+    /** Every template value lies in [0, 1], the range the band-sum
+     *  error bound assumes; when false every column is swept. */
+    bool bandsCertified = false;
 
     // Per-call scratch.
     std::vector<double> rayDist;
@@ -125,6 +153,9 @@ struct PoseScratch
      *  (exact conversion) so the SSD sweeps don't re-stride the image
      *  once per candidate. */
     std::vector<double> colBuf;
+    std::vector<ColumnSums> sums;    ///< [row + 1] of the current column
+    std::vector<double> bound;       ///< [cand], open profile last
+    std::vector<int> sweep;          ///< candidates left to sweep
 };
 
 /**

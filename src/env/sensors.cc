@@ -116,6 +116,10 @@ Camera::renderInto(const World &world, const Vec3 &position,
     // Horizon split of the open-corridor view: r < mid for integer r.
     const int horizon = std::clamp(int(std::ceil(mid)), 0, H);
     colShade_.resize(size_t(H));
+    // The frame's pixel noise in one batch draw, in the column-major,
+    // row-ascending order the per-pixel draws had: noise_[c * H + r].
+    noise_.resize(size_t(cfg_.width) * size_t(H));
+    rng_.gaussianFill(0.0, cfg_.noiseStd, noise_.data(), noise_.size());
 
     for (int c = 0; c < cfg_.width; ++c) {
         double az = yaw + colAlpha_[size_t(c)];
@@ -170,10 +174,9 @@ Camera::renderInto(const World &world, const Vec3 &position,
                 shade[r] = floorShade_[size_t(r)];
         }
 
-        // Noise pass: same row-ascending draw order as the fused loop.
+        const double *noise = &noise_[size_t(c) * size_t(H)];
         for (int r = 0; r < H; ++r) {
-            float v =
-                shade[r] + float(rng_.gaussian(0.0, cfg_.noiseStd));
+            float v = shade[r] + float(noise[r]);
             img.at(r, c) = float(clampd(v, 0.0, 1.0));
         }
     }

@@ -159,8 +159,11 @@ class Camera
      */
     std::vector<float> floorShade_;
     /** Per-column shade staging buffer (noise applied in a second
-     *  pass, preserving the row-ascending RNG draw order). */
+     *  pass). */
     std::vector<float> colShade_;
+    /** The frame's pixel noise, [col][row], drawn by one
+     *  Rng::gaussianFill call per frame. */
+    std::vector<double> noise_;
 };
 
 /**

@@ -24,6 +24,44 @@ rotl(uint64_t v, int k)
     return (v << k) | (v >> (64 - k));
 }
 
+/** One xoshiro256** step on @p s. */
+inline uint64_t
+xoshiro(uint64_t (&s)[4])
+{
+    uint64_t result = rotl(s[1] * 5, 7) * 9;
+    uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+}
+
+/** 53 high bits -> double in [0,1). */
+inline double
+unitDouble(uint64_t v)
+{
+    return (v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/** One Box-Muller pair {r cos(theta), r sin(theta)} from @p uniform. */
+template <class Uniform>
+inline void
+boxMuller(Uniform &&uniform, double &cos_draw, double &sin_draw)
+{
+    double u1 = 0.0;
+    do {
+        u1 = uniform();
+    } while (u1 <= 1e-300);
+    double u2 = uniform();
+    double r = std::sqrt(-2.0 * std::log(u1));
+    double theta = 2.0 * 3.14159265358979323846 * u2;
+    sin_draw = r * std::sin(theta);
+    cos_draw = r * std::cos(theta);
+}
+
 } // namespace
 
 void
@@ -38,22 +76,13 @@ Rng::reseed(uint64_t seed)
 uint64_t
 Rng::next()
 {
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
+    return xoshiro(s_);
 }
 
 double
 Rng::uniform()
 {
-    // 53 high bits -> double in [0,1).
-    return (next() >> 11) * (1.0 / 9007199254740992.0);
+    return unitDouble(next());
 }
 
 double
@@ -76,22 +105,40 @@ Rng::gaussian()
         haveSpare_ = false;
         return spare_;
     }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
-    double u2 = uniform();
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * 3.14159265358979323846 * u2;
-    spare_ = r * std::sin(theta);
+    double draw = 0.0;
+    boxMuller([this] { return uniform(); }, draw, spare_);
     haveSpare_ = true;
-    return r * std::cos(theta);
+    return draw;
 }
 
 double
 Rng::gaussian(double mean, double stddev)
 {
     return mean + stddev * gaussian();
+}
+
+void
+Rng::gaussianFill(double mean, double stddev, double *out, size_t n)
+{
+    uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    bool have_spare = haveSpare_;
+    double spare = spare_;
+    auto uniform = [&s] { return unitDouble(xoshiro(s)); };
+    for (size_t i = 0; i < n; ++i) {
+        if (have_spare) {
+            have_spare = false;
+            out[i] = mean + stddev * spare;
+            continue;
+        }
+        double draw = 0.0;
+        boxMuller(uniform, draw, spare);
+        have_spare = true;
+        out[i] = mean + stddev * draw;
+    }
+    for (int k = 0; k < 4; ++k)
+        s_[k] = s[k];
+    haveSpare_ = have_spare;
+    spare_ = spare;
 }
 
 bool

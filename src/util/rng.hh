@@ -12,6 +12,7 @@
 #ifndef ROSE_UTIL_RNG_HH
 #define ROSE_UTIL_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace rose {
@@ -48,6 +49,15 @@ class Rng
 
     /** Normal draw with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
+
+    /**
+     * Fill out[0, n) with n successive gaussian(mean, stddev) draws:
+     * the same values, in the same order, leaving the same state
+     * (xoshiro words, Box-Muller spare and saveState bytes) as the
+     * scalar loop, with the generator state held in locals throughout.
+     */
+    void gaussianFill(double mean, double stddev, double *out,
+                      size_t n);
 
     /** Bernoulli draw with probability p of true. */
     bool bernoulli(double p);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "bridge/fifo.hh"
 #include "bridge/packet.hh"
@@ -256,6 +257,43 @@ TEST(TcpTransport, PeerCloseSurfacesClosedState)
         TransportError);
 }
 
+TEST(TcpTransport, BurstDrainsInOrderThenReportsClose)
+{
+    // A burst sent before one drain arrives whole and in order (recv
+    // serves buffered frames without reading the socket again), and
+    // the peer's close is still reported once they are drained.
+    auto [server, client] = TcpTransport::makeLoopbackPair();
+    env::Image img(64, 48);
+    for (int i = 0; i < 12; ++i) {
+        client->send(encodeSyncDone(Cycles(i)));
+        if (i % 4 == 0)
+            client->send(encodeImageResp(img));
+    }
+    client.reset();
+    ASSERT_TRUE(server->waitReadable(1000));
+
+    Packet p;
+    std::vector<PacketType> got;
+    std::vector<Cycles> dones;
+    int spins = 0;
+    while (got.size() < 15 && spins++ < 100000) {
+        if (!server->recv(p))
+            continue;
+        got.push_back(p.type);
+        if (p.type == PacketType::SyncDone)
+            dones.push_back(decodeSyncDone(p));
+    }
+    ASSERT_EQ(got.size(), 15u);
+    for (int i = 0; i < 12; ++i)
+        EXPECT_EQ(dones[size_t(i)], Cycles(i));
+    EXPECT_EQ(got[1], PacketType::ImageResp);
+
+    spins = 0;
+    while (server->state() == TransportState::Open && spins++ < 10000)
+        EXPECT_FALSE(server->recv(p));
+    EXPECT_EQ(server->state(), TransportState::Closed);
+}
+
 TEST(TcpTransport, CorruptStreamIsRejectedNotLoopedOn)
 {
     auto [server, client] = TcpTransport::makeLoopbackPair();
@@ -472,6 +510,70 @@ TEST(TargetDriver, AccessCountingTracksMmio)
     // rxPop: count + type + len + 2 data words + consume = 6 accesses.
     EXPECT_EQ(drv.takeAccessCount(), 6u);
     EXPECT_EQ(drv.takeAccessCount(), 0u);
+}
+
+namespace {
+
+/** Forwards to a bridge through read() only: no burst override, so
+ *  bursts take MmioDevice's word loop. */
+class ReadOnlyPort : public soc::MmioDevice
+{
+  public:
+    explicit ReadOnlyPort(RoseBridge &b) : b_(b) {}
+    std::string deviceName() const override { return "read-only"; }
+    uint64_t windowSize() const override { return b_.windowSize(); }
+    uint32_t read(uint64_t off) override { return b_.read(off); }
+    void write(uint64_t off, uint32_t v) override { b_.write(off, v); }
+
+  private:
+    RoseBridge &b_;
+};
+
+} // namespace
+
+TEST(TargetDriver, BurstReadMatchesWordLoop)
+{
+    // The bridge's one-copy RX_DATA burst must be indistinguishable
+    // from the word-by-word loop a read-only device gets: payload,
+    // the bridge's mmioReads and the driver's access count, for
+    // payloads that do and do not fill their last word.
+    for (size_t len : {size_t(0), size_t(1), size_t(4), size_t(7),
+                       size_t(3077)}) {
+        BridgeHarness burst, loop;
+        ReadOnlyPort port(loop.bridge);
+        TargetDriver burst_drv(burst.bridge), loop_drv(port);
+        Packet p;
+        p.type = PacketType::ImageResp;
+        for (size_t i = 0; i < len; ++i)
+            p.payload.push_back(uint8_t(i * 37 + 5));
+        burst.hostEnd->send(p);
+        loop.hostEnd->send(p);
+        burst.bridge.hostService();
+        loop.bridge.hostService();
+
+        auto a = burst_drv.rxPop();
+        auto b = loop_drv.rxPop();
+        ASSERT_TRUE(a && b);
+        EXPECT_EQ(a->payload, p.payload) << "len " << len;
+        EXPECT_EQ(b->payload, p.payload) << "len " << len;
+        EXPECT_EQ(burst.bridge.stats().mmioReads,
+                  loop.bridge.stats().mmioReads);
+        EXPECT_EQ(burst_drv.takeAccessCount(), loop_drv.takeAccessCount());
+    }
+
+    // Reading past the payload end yields zero bytes either way.
+    BridgeHarness h;
+    h.hostEnd->send(encodeDepthResp(3.0));
+    h.bridge.hostService();
+    uint8_t via_burst[16];
+    h.bridge.readBurst(reg::kRxData, via_burst, 4);
+    BridgeHarness g;
+    g.hostEnd->send(encodeDepthResp(3.0));
+    g.bridge.hostService();
+    uint8_t via_loop[16];
+    ReadOnlyPort(g.bridge).readBurst(reg::kRxData, via_loop, 4);
+    EXPECT_EQ(std::memcmp(via_burst, via_loop, sizeof(via_burst)), 0);
+    EXPECT_EQ(h.bridge.stats().mmioReads, g.bridge.stats().mmioReads);
 }
 
 TEST(TargetDriver, TxBackpressureReported)
