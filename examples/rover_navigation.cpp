@@ -8,10 +8,16 @@
  * computer runs the identical software stack.
  *
  * Run: ./build/examples/rover_navigation [world] [velocity]
+ * (exit 2 on an unknown world or a velocity that is not a finite,
+ * non-negative number).
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hh"
@@ -21,19 +27,45 @@ main(int argc, char **argv)
 {
     using namespace rose;
 
+    if (argc > 3) {
+        std::fprintf(stderr, "usage: %s [world] [velocity]\n", argv[0]);
+        return 2;
+    }
     core::MissionSpec spec;
     spec.world = argc > 1 ? argv[1] : "s-shape";
     spec.vehicle = "rover";
     spec.socName = "A";
     spec.modelDepth = 14;
-    spec.velocity = argc > 2 ? std::atof(argv[2]) : 6.0;
+    spec.velocity = 6.0;
     spec.maxSimSeconds = 90.0;
+    if (argc > 2) {
+        const char *text = argv[2];
+        const char *end = text + std::strlen(text);
+        auto [ptr, ec] = std::from_chars(text, end, spec.velocity);
+        if (ec != std::errc() || ptr != end || ptr == text ||
+            !std::isfinite(spec.velocity) || spec.velocity < 0.0) {
+            std::fprintf(stderr,
+                         "velocity: not a finite non-negative number: "
+                         "'%s'\n",
+                         text);
+            return 2;
+        }
+    }
+
+    // An unknown world is caught here, before the banner and the run.
+    std::unique_ptr<core::CoSimulation> sim;
+    try {
+        sim = std::make_unique<core::CoSimulation>(spec.toConfig());
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 
     std::printf("RoSE rover navigation: %s @ %.1f m/s, ResNet14 on "
                 "config A\n\n",
                 spec.world.c_str(), spec.velocity);
 
-    core::MissionResult r = core::runMission(spec);
+    core::MissionResult r = sim->run();
 
     std::printf("mission %s in %.2f s (collisions: %llu)\n",
                 r.completed ? "COMPLETED" : "TIMED OUT", r.missionTime,

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "core/cosim.hh"
+#include "util/hash.hh"
 #include "util/serde.hh"
 
 namespace rose::core {
@@ -14,13 +15,6 @@ namespace {
 constexpr char kMagic[8] = {'R', 'O', 'S', 'E', 'C', 'K', 'P', 'T'};
 
 } // namespace
-
-uint64_t
-stateHashOf(const std::vector<uint8_t> &bytes)
-{
-    return fnv1a(std::string_view(
-        reinterpret_cast<const char *>(bytes.data()), bytes.size()));
-}
 
 uint64_t
 configFingerprint(const CosimConfig &cfg)
@@ -66,7 +60,7 @@ configFingerprint(const CosimConfig &cfg)
     w.boolean(cfg.background.enabled);
     w.u64(cfg.samplePeriods);
 
-    return stateHashOf(w.data());
+    return fnv1a(w.data().data(), w.size());
 }
 
 const Checkpoint &
@@ -93,7 +87,9 @@ writeCheckpointFile(const std::string &path, const Checkpoint &ck)
     w.u64(ck.period);
     w.f64(ck.simTime);
     w.u64(ck.configFingerprint);
-    w.u64(ck.stateHash);
+    // The integrity hash exists only on disk: in-memory snapshots never
+    // leave the process that took them.
+    w.u64(fnv1a(ck.state.data(), ck.state.size()));
     w.u32(uint32_t(ck.state.size()));
     w.bytes(ck.state.data(), ck.state.size());
 
@@ -149,7 +145,7 @@ readCheckpointFile(const std::string &path)
         ck.period = r.u64();
         ck.simTime = r.f64();
         ck.configFingerprint = r.u64();
-        ck.stateHash = r.u64();
+        const uint64_t stateHash = r.u64();
         // Bound the length by the bytes actually present before
         // allocating: a corrupt length must not reserve gigabytes.
         uint32_t n = r.u32();
@@ -161,7 +157,7 @@ readCheckpointFile(const std::string &path)
         ck.state.resize(n);
         if (n)
             r.bytes(ck.state.data(), n);
-        if (stateHashOf(ck.state) != ck.stateHash)
+        if (fnv1a(ck.state.data(), ck.state.size()) != stateHash)
             throw CheckpointError(
                 "checkpoint state hash mismatch in " + path +
                 " (file corrupt or truncated)");

@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "util/hash.hh"
-
 namespace rose::core {
 
 struct CosimConfig;
@@ -76,12 +74,7 @@ struct Checkpoint
     uint64_t configFingerprint = 0;
     /** Tagged-section state blob. */
     std::vector<uint8_t> state;
-    /** FNV-1a over `state` (integrity check for the disk format). */
-    uint64_t stateHash = 0;
 };
-
-/** FNV-1a over a byte vector (the checkpoint integrity hash). */
-uint64_t stateHashOf(const std::vector<uint8_t> &bytes);
 
 /**
  * Fingerprint of the config fields that determine mission evolution.
@@ -138,8 +131,8 @@ class CheckpointRing
 };
 
 /**
- * Persist a checkpoint to disk ("ROSECKPT" magic + header + blob).
- * Throws CheckpointError on I/O failure.
+ * Persist a checkpoint to disk ("ROSECKPT" magic + header + FNV-1a of
+ * the state blob + blob). Throws CheckpointError on I/O failure.
  */
 void writeCheckpointFile(const std::string &path, const Checkpoint &ck);
 

@@ -398,7 +398,6 @@ CoSimulation::checkpoint() const
     ck.simTime = env_->simTime();
     ck.configFingerprint = configFingerprint(cfg_);
     ck.state = w.take();
-    ck.stateHash = stateHashOf(ck.state);
     return ck;
 }
 

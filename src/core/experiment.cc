@@ -1,10 +1,11 @@
 #include "experiment.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/csv.hh"
+#include "util/decimal.hh"
 
 namespace rose::core {
 
@@ -94,12 +95,10 @@ std::string
 trajectoryCsvString(const std::vector<TrajectorySample> &trajectory)
 {
     // Hot path: this string is rendered once per served result and
-    // again by clients verifying fetches, so the ostringstream-per-
-    // cell CsvWriter is too slow here. printf's %.6g produces the
-    // same bytes as ostream's default (defaultfloat, precision 6)
-    // formatting, and no numeric cell ever needs CSV quoting, so a
-    // single snprintf per row stays byte-identical to the CsvWriter
-    // output (test_golden cross-checks the two paths).
+    // again by clients verifying fetches. formatG6 prints the same
+    // bytes as CsvWriter's cells, and no numeric cell ever needs CSV
+    // quoting, so this stays byte-identical to the CsvWriter output
+    // (test_golden cross-checks the two paths).
     static const std::string headerLine = [] {
         std::string h;
         for (const std::string &col : trajectoryHeader()) {
@@ -114,16 +113,27 @@ trajectoryCsvString(const std::vector<TrajectorySample> &trajectory)
     std::string out;
     out.reserve(headerLine.size() + trajectory.size() * 96);
     out += headerLine;
-    char row[256];
+    char row[16 * kG6Bytes]; // ten cells, the count and the commas
     for (const TrajectorySample &s : trajectory) {
-        int n = std::snprintf(
-            row, sizeof row,
-            "%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%llu,%.6g,%.6g,%.6g\n",
-            s.time, s.position.x, s.position.y, s.position.z, s.yaw,
-            s.speed, s.lateralOffset,
-            (unsigned long long)s.collisions, s.cmdForward,
-            s.cmdLateral, s.cmdYawRate);
-        out.append(row, size_t(n));
+        char *p = row;
+        auto cell = [&p](double v) {
+            p += formatG6(v, p);
+            *p++ = ',';
+        };
+        cell(s.time);
+        cell(s.position.x);
+        cell(s.position.y);
+        cell(s.position.z);
+        cell(s.yaw);
+        cell(s.speed);
+        cell(s.lateralOffset);
+        p = std::to_chars(p, p + 24, s.collisions).ptr;
+        *p++ = ',';
+        cell(s.cmdForward);
+        cell(s.cmdLateral);
+        cell(s.cmdYawRate);
+        p[-1] = '\n';
+        out.append(row, size_t(p - row));
     }
     return out;
 }

@@ -1,8 +1,6 @@
 #include "proto.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "util/decimal.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -109,14 +107,14 @@ ackOutcomeName(AckOutcome o)
 float
 canonicalTrajectoryF32(double v)
 {
-    // %.6g is exactly the default-formatted ostream insertion
-    // CsvWriter uses for its cells; re-reading that decimal and
-    // narrowing lands within 2^-24 relative of the printed value,
+    // formatG6 prints the CSV cell and returns the decimal it printed;
+    // narrowing that lands within 2^-24 relative of the printed value,
     // which is why printing the f32 at precision 6 reproduces the
-    // original cell (tests pin this printf/ostream equivalence).
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return float(std::strtod(buf, nullptr));
+    // original cell (tests pin this equivalence).
+    char buf[kG6Bytes];
+    double printed;
+    formatG6(v, buf, &printed);
+    return float(printed);
 }
 
 std::vector<uint8_t>

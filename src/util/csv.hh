@@ -8,11 +8,15 @@
 #ifndef ROSE_UTIL_CSV_HH
 #define ROSE_UTIL_CSV_HH
 
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/decimal.hh"
 
 namespace rose {
 
@@ -33,7 +37,7 @@ class CsvWriter
     /** Append one row of already-formatted cells. */
     void writeRow(const std::vector<std::string> &cells);
 
-    /** Append one row, formatting each value with operator<<. */
+    /** Append one row, formatting each value as operator<< would. */
     template <typename... Args>
     void
     row(Args &&...args)
@@ -52,9 +56,22 @@ class CsvWriter
     static std::string
     format(T &&v)
     {
-        std::ostringstream os;
-        os << v;
-        return os.str();
+        using U = std::decay_t<T>;
+        if constexpr (std::is_same_v<U, double> ||
+                      std::is_same_v<U, float>) {
+            char buf[kG6Bytes];
+            return std::string(buf, formatG6(v, buf));
+        } else if constexpr (std::is_integral_v<U> && sizeof(U) > 1) {
+            char buf[24];
+            return std::string(buf,
+                               std::to_chars(buf, buf + sizeof buf, v).ptr);
+        } else {
+            // Strings, and the one-byte bools and chars operator<<
+            // prints as text.
+            std::ostringstream os;
+            os << v;
+            return os.str();
+        }
     }
 
     std::ofstream owned_;

@@ -188,9 +188,7 @@ TEST(Checkpoint, CaptureIsSideEffectFree)
     Checkpoint a = sim.checkpoint();
     Checkpoint b = sim.checkpoint();
     EXPECT_EQ(a.state, b.state);
-    EXPECT_EQ(a.stateHash, b.stateHash);
     EXPECT_EQ(a.period, 25u);
-    EXPECT_EQ(stateHashOf(a.state), a.stateHash);
 }
 
 TEST(Checkpoint, RestoreRoundTripsToIdenticalState)
@@ -330,9 +328,8 @@ sectionBodies(const std::vector<uint8_t> &state, std::vector<uint8_t> &tags)
 
 /** Restore @p ck into a fresh mission: success or a SerdeError only. */
 void
-expectRestoreOrSerdeError(const CosimConfig &cfg, Checkpoint ck)
+expectRestoreOrSerdeError(const CosimConfig &cfg, const Checkpoint &ck)
 {
-    ck.stateHash = stateHashOf(ck.state);
     CoSimulation target(cfg);
     try {
         target.restore(ck);
@@ -346,7 +343,7 @@ expectRestoreOrSerdeError(const CosimConfig &cfg, Checkpoint ck)
 
 TEST(Checkpoint, RestoreRejectsOversizedSampleCount)
 {
-    // A hash-valid Cosim section claiming 2^32-1 trajectory samples
+    // A Cosim section claiming 2^32-1 trajectory samples
     // must be a SerdeError from the count check, not a ~380 GB
     // reserve before the underrun is noticed.
     CosimConfig cfg = canonicalSpec("A").toConfig();
@@ -359,18 +356,17 @@ TEST(Checkpoint, RestoreRejectsOversizedSampleCount)
     ASSERT_EQ(tags.front(), uint8_t(CkptSection::Cosim));
     // The sample count follows 8 u64/f64 accumulators.
     std::memset(ck.state.data() + bodies.front().first + 64, 0xff, 4);
-    ck.stateHash = stateHashOf(ck.state);
     CoSimulation target(cfg);
     EXPECT_THROW(target.restore(ck), SerdeError);
 }
 
 TEST(Checkpoint, RestoreFuzzOfRehashedSectionsEndsCleanly)
 {
-    // Seeded bit flips inside one section body with the state hash
-    // recomputed, so the bytes get past every integrity check and
-    // reach the section restorers. Each restore must succeed or throw
-    // SerdeError — no crash, no unbounded allocation (the ASan preset
-    // aborts on an oversized allocation).
+    // Seeded bit flips inside one section body. In-memory restores
+    // check no state hash (only the disk format carries one), so the
+    // bytes reach the section restorers. Each restore must succeed or
+    // throw SerdeError — no crash, no unbounded allocation (the ASan
+    // preset aborts on an oversized allocation).
     core::MissionSpec spec = canonicalSpec("A");
     spec.faults.enabled = true;
     spec.faults.delayProb = 0.2;
@@ -422,12 +418,24 @@ TEST(CheckpointFile, RoundTripsAndValidates)
     EXPECT_EQ(back.period, ck.period);
     EXPECT_EQ(back.configFingerprint, ck.configFingerprint);
     EXPECT_EQ(back.state, ck.state);
-    EXPECT_EQ(back.stateHash, ck.stateHash);
 
     // And it actually restores.
     CoSimulation sim2(cfg);
     sim2.restore(back);
     EXPECT_EQ(sim2.periods(), 20u);
+
+    // The file's state hash is checked on load: one flipped state
+    // byte (the blob starts at offset 48) is rejected.
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        char c;
+        f.seekg(48 + std::streamoff(ck.state.size() / 2));
+        f.get(c);
+        f.seekp(48 + std::streamoff(ck.state.size() / 2));
+        f.put(char(c ^ 0x01));
+    }
+    EXPECT_THROW(readCheckpointFile(path), CheckpointError);
     std::remove(path.c_str());
 }
 

@@ -1,17 +1,24 @@
 /**
  * @file
- * Unit tests for src/util: geometry, RNG, CSV, statistics.
+ * Unit tests for src/util: geometry, RNG, CSV, decimal formatting,
+ * statistics.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.hh"
+#include "util/decimal.hh"
 #include "util/geometry.hh"
 #include "util/rng.hh"
 #include "util/serde.hh"
@@ -312,6 +319,131 @@ TEST(CsvDeathTest, WrongArity)
     std::ostringstream os;
     CsvWriter w(os, {"a", "b"});
     EXPECT_DEATH(w.row(1), "cells");
+}
+
+TEST(Csv, NumericCellsPrintAsOstream)
+{
+    // Arithmetic cells skip the stream but keep operator<<'s text.
+    const double d = -0.000123456789;
+    const float f = 3.25e-7f;
+    const long long i = -9000000000000LL;
+    const unsigned u = 42;
+    std::ostringstream want;
+    want << "a,b,c,d,e,f\n"
+         << d << ',' << f << ',' << i << ',' << u << ',' << true << ','
+         << 'x' << '\n';
+    std::ostringstream os;
+    CsvWriter w(os, {"a", "b", "c", "d", "e", "f"});
+    w.row(d, f, i, u, true, 'x');
+    EXPECT_EQ(os.str(), want.str());
+}
+
+// --------------------------------------------------------------- Decimal
+
+TEST(Decimal, G6MatchesPrintfAndStrtod)
+{
+    // formatG6's text must be printf("%.6g")'s and its value strtod's
+    // of that text, bit for bit: seeded values over 1e-30…1e30 plus
+    // the cases the certified path must hand to libc or get right.
+    size_t checked = 0, mismatches = 0;
+    auto check = [&](double v) {
+        char want[64];
+        int n = std::snprintf(want, sizeof want, "%.6g", v);
+        const double wantValue = std::strtod(want, nullptr);
+        char got[kG6Bytes], textOnly[kG6Bytes];
+        double gotValue = -1.0;
+        size_t len = formatG6(v, got, &gotValue);
+        size_t lenTextOnly = formatG6(v, textOnly);
+        const std::string_view w(want, size_t(n));
+        ++checked;
+        if (std::string_view(got, len) != w ||
+            std::string_view(textOnly, lenTextOnly) != w ||
+            std::memcmp(&gotValue, &wantValue, sizeof(double)) != 0) {
+            if (++mismatches <= 10)
+                ADD_FAILURE()
+                    << "v=" << std::hexfloat << v << " printf=" << w
+                    << " formatG6=" << std::string_view(got, len)
+                    << " strtod=" << wantValue << " value=" << gotValue;
+        }
+    };
+
+    Rng rng(0x6a6a6a);
+    for (int i = 0; i < 1000000; ++i) {
+        double v = std::pow(10.0, rng.uniform(-30.0, 30.0));
+        check(rng.uniform() < 0.5 ? -v : v);
+    }
+    // Trajectory-like values: centi-steps and near-ties at 1e-7.
+    for (int i = 0; i < 20000; ++i) {
+        check(i * 0.01);
+        check(1.0 + (2 * i + 1) * 5e-7);
+    }
+
+    std::vector<double> edges{0.0,
+                              -0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::denorm_min(),
+                              1e-310,
+                              -2.5e-315,
+                              DBL_MIN,
+                              -DBL_MIN,
+                              DBL_MAX,
+                              -DBL_MAX,
+                              HUGE_VAL,
+                              -HUGE_VAL,
+                              std::nan(""),
+                              -std::nan(""),
+                              1234565.0,
+                              1234575.0,
+                              123456.5,
+                              123457.5,
+                              0.5,
+                              5.0,
+                              999999.5,
+                              9999995.0,
+                              9999985.0,
+                              1e6,
+                              1e5,
+                              1e-5,
+                              1e-4,
+                              1e-17,
+                              1e22,
+                              1e23};
+    // Powers of ten ±4 ulps.
+    for (int e = -30; e <= 30; ++e) {
+        char text[16];
+        std::snprintf(text, sizeof text, "1e%d", e);
+        double p = std::strtod(text, nullptr);
+        double lo = p, hi = p;
+        edges.push_back(p);
+        for (int u = 0; u < 4; ++u) {
+            lo = std::nextafter(lo, 0.0);
+            hi = std::nextafter(hi, HUGE_VAL);
+            edges.push_back(lo);
+            edges.push_back(hi);
+        }
+    }
+    // Exact 7th-digit ties (n + ½)·10^k, exact for k ≤ 13, and their
+    // inexact counterparts (n + ½)/10^k; 999999.5·10^k rounds up into
+    // the next decade.
+    for (int k = 0; k <= 13; ++k) {
+        const double scale = std::pow(10.0, k);
+        for (int i = 0; i < 200; ++i) {
+            double n = 100000.0 + double(rng.uniformInt(900000));
+            edges.push_back((n + 0.5) * scale);
+            edges.push_back((n + 0.5) / scale);
+        }
+        for (double t : {999999.5 * scale, 999999.5 / scale}) {
+            edges.push_back(t);
+            edges.push_back(std::nextafter(t, 0.0));
+            edges.push_back(std::nextafter(t, HUGE_VAL));
+        }
+    }
+    for (double v : edges) {
+        check(v);
+        check(-v);
+    }
+    EXPECT_GT(checked, 1000000u);
+    EXPECT_EQ(mismatches, 0u);
 }
 
 // ----------------------------------------------------------------- Stats
