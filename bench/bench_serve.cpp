@@ -64,6 +64,11 @@ namespace {
 constexpr int kWorkers = 4;
 constexpr int kMissionsPerClient = 4;
 constexpr double kSimSeconds = 2.0;
+/** Result poll period [ms]. A 2 s tunnel mission finishes in a few
+ *  ms, so ServeClient's default 10 ms period would be what the
+ *  latency columns measure. */
+constexpr int kPollMs = 1;
+constexpr int kWaitTimeoutMs = 120000;
 
 core::MissionSpec
 benchSpec(uint64_t seed)
@@ -151,7 +156,8 @@ runCell(int clients, size_t queue_depth)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(2));
                 }
-                ServedResult r = client.waitResult(out.jobId);
+                ServedResult r =
+                    client.waitResult(out.jobId, kWaitTimeoutMs, kPollMs);
                 double ms = std::chrono::duration<double, std::milli>(
                                 Clock::now() - start)
                                 .count();
@@ -341,7 +347,7 @@ runJournalCell(JournalMode mode)
                 .count());
         if (!out.accepted)
             rose_fatal("journal bench submit shed: ", out.detail);
-        client.waitResult(out.jobId);
+        client.waitResult(out.jobId, kWaitTimeoutMs, kPollMs);
         lat_ms.push_back(
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       start)

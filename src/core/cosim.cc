@@ -1,5 +1,6 @@
 #include "cosim.hh"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -290,35 +291,44 @@ CoSimulation::checkpointable() const
 
 namespace {
 
-/** Append one tagged section (u8 tag + u32 length + payload). */
+/** Append one tagged section (u8 tag + u32 length + payload); the
+ *  payload is written in place and its length patched in after. */
 template <typename Fill>
 void
 putSection(StateWriter &w, CkptSection tag, Fill &&fill)
 {
-    StateWriter body;
-    fill(body);
     w.u8(uint8_t(tag));
-    w.u32(uint32_t(body.size()));
-    w.bytes(body.data().data(), body.size());
+    size_t at = w.size();
+    w.u32(0);
+    fill(w);
+    w.patchU32(at, uint32_t(w.size() - at - 4));
 }
 
 /** Checkpoint bytes per trajectory sample: ten f64 and one u64. */
 constexpr size_t kSampleStateBytes = 11 * 8;
 
+/** Write @p s in place: the words StateWriter::f64/u64 would append. */
 void
-saveSample(StateWriter &w, const TrajectorySample &s)
+saveSample(uint8_t *p, const TrajectorySample &s)
 {
-    w.f64(s.time);
-    w.f64(s.position.x);
-    w.f64(s.position.y);
-    w.f64(s.position.z);
-    w.f64(s.yaw);
-    w.f64(s.speed);
-    w.f64(s.lateralOffset);
-    w.u64(s.collisions);
-    w.f64(s.cmdForward);
-    w.f64(s.cmdLateral);
-    w.f64(s.cmdYawRate);
+    const uint64_t words[] = {
+        std::bit_cast<uint64_t>(s.time),
+        std::bit_cast<uint64_t>(s.position.x),
+        std::bit_cast<uint64_t>(s.position.y),
+        std::bit_cast<uint64_t>(s.position.z),
+        std::bit_cast<uint64_t>(s.yaw),
+        std::bit_cast<uint64_t>(s.speed),
+        std::bit_cast<uint64_t>(s.lateralOffset),
+        s.collisions,
+        std::bit_cast<uint64_t>(s.cmdForward),
+        std::bit_cast<uint64_t>(s.cmdLateral),
+        std::bit_cast<uint64_t>(s.cmdYawRate),
+    };
+    static_assert(sizeof(words) == kSampleStateBytes);
+    for (uint64_t word : words) {
+        StateWriter::store64(p, word);
+        p += 8;
+    }
 }
 
 TrajectorySample
@@ -361,8 +371,11 @@ CoSimulation::checkpoint() const
         b.f64(prevPos_.z);
         b.f64(distance_);
         b.u32(uint32_t(trajectory_.size()));
-        for (const TrajectorySample &s : trajectory_)
-            saveSample(b, s);
+        uint8_t *p = b.extend(trajectory_.size() * kSampleStateBytes);
+        for (const TrajectorySample &s : trajectory_) {
+            saveSample(p, s);
+            p += kSampleStateBytes;
+        }
     });
     putSection(w, CkptSection::Env,
                [this](StateWriter &b) { env_->saveState(b); });

@@ -174,9 +174,9 @@ Camera::renderInto(const World &world, const Vec3 &position,
                 shade[r] = floorShade_[size_t(r)];
         }
 
-        const double *noise = &noise_[size_t(c) * size_t(H)];
+        const float *noise = &noise_[size_t(c) * size_t(H)];
         for (int r = 0; r < H; ++r) {
-            float v = shade[r] + float(noise[r]);
+            float v = shade[r] + noise[r];
             img.at(r, c) = float(clampd(v, 0.0, 1.0));
         }
     }

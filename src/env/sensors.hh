@@ -162,8 +162,9 @@ class Camera
      *  pass). */
     std::vector<float> colShade_;
     /** The frame's pixel noise, [col][row], drawn by one
-     *  Rng::gaussianFill call per frame. */
-    std::vector<double> noise_;
+     *  Rng::gaussianFill call per frame. Only float(noise) reaches a
+     *  pixel, so the fill writes floats. */
+    std::vector<float> noise_;
 };
 
 /**

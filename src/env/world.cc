@@ -1,5 +1,6 @@
 #include "world.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -233,14 +234,35 @@ ZigzagWorld::centerSlope(double x) const
     return here;
 }
 
-double
-ZigzagWorld::centerY(double x) const
+ZigzagWorld::ZigzagWorld()
 {
-    // Integrate the slope numerically; the step is fine enough for
-    // sensor rates and the result is cached nowhere (cheap anyway).
+    // The same steps, in the same order, as centerY's loop below.
     const double h = kStep;
     double y = 0.0;
     double t = 0.0;
+    prefixY_.push_back(y);
+    while (t + h <= kPrefixLength) {
+        y += 0.5 * (centerSlope(t) + centerSlope(t + h)) * h;
+        t += h;
+        prefixY_.push_back(y);
+    }
+}
+
+double
+ZigzagWorld::centerY(double x) const
+{
+    // Integrate the slope with trapezoid steps from x = 0, resuming
+    // from the last precomputed step at or before x. Every t is a
+    // multiple of the power-of-two step h, so t = k * h exactly, t + h
+    // is exact, and k = floor(x / h) is the number of whole steps the
+    // loop from 0 would take.
+    const double h = kStep;
+    size_t k = 0;
+    if (x >= h)
+        k = size_t(std::min(std::floor(x / h),
+                            double(prefixY_.size() - 1)));
+    double y = prefixY_[k];
+    double t = double(k) * h;
     while (t + h <= x) {
         y += 0.5 * (centerSlope(t) + centerSlope(t + h)) * h;
         t += h;

@@ -201,6 +201,8 @@ class SShapeWorld : public World
 class ZigzagWorld : public World
 {
   public:
+    ZigzagWorld();
+
     std::string name() const override { return "zigzag"; }
     double length() const override { return 60.0; }
     double halfWidth(double) const override { return 2.2; }
@@ -229,6 +231,15 @@ class ZigzagWorld : public World
     static constexpr double kSlope = 0.35;   ///< tan of zig angle
     static constexpr double kRound = 2.0;    ///< corner rounding [m]
     static constexpr double kStep = 0.25;    ///< centerY trapezoid step [m]
+    /** The prefix covers the corridor plus a full-range ray [m]. */
+    static constexpr double kPrefixLength = 128.0;
+
+    /**
+     * prefixY_[k] is centerY's running sum after k trapezoid steps,
+     * i.e. at t = k * kStep, built once by the constructor so shared
+     * worlds stay immutable.
+     */
+    std::vector<double> prefixY_;
 };
 
 /** Construct a world by map name; fatal on unknown names. */

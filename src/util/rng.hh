@@ -51,13 +51,14 @@ class Rng
     double gaussian(double mean, double stddev);
 
     /**
-     * Fill out[0, n) with n successive gaussian(mean, stddev) draws:
-     * the same values, in the same order, leaving the same state
-     * (xoshiro words, Box-Muller spare and saveState bytes) as the
-     * scalar loop, with the generator state held in locals throughout.
+     * Fill out[0, n) with float(gaussian(mean, stddev)) for n
+     * successive draws: the same floats, in the same order, leaving the
+     * same state (xoshiro words, Box-Muller spare and saveState bytes)
+     * as the scalar loop. Pairs are evaluated by vectorized polynomials
+     * and kept only where an error bound proves the float; the rest
+     * fall back to the libm expression (DESIGN.md 5h).
      */
-    void gaussianFill(double mean, double stddev, double *out,
-                      size_t n);
+    void gaussianFill(double mean, double stddev, float *out, size_t n);
 
     /** Bernoulli draw with probability p of true. */
     bool bernoulli(double p);

@@ -107,6 +107,34 @@ class StateWriter
     /** Pre-size the backing vector for @p n bytes in total. */
     void reserve(size_t n) { buf_.reserve(n); }
 
+    /**
+     * Append @p n bytes for the caller to fill in place (with store64)
+     * through the returned pointer, which the next append invalidates:
+     * one resize for a sized run of fields.
+     */
+    uint8_t *extend(size_t n)
+    {
+        size_t at = buf_.size();
+        buf_.resize(at + n);
+        return buf_.data() + at;
+    }
+
+    /** Overwrite the u32 at byte @p at, e.g. a length written as a
+     *  placeholder before its body. */
+    void patchU32(size_t at, uint32_t v)
+    {
+        rose_assert(at + 4 <= buf_.size(), "patch past the end");
+        for (int i = 0; i < 4; ++i)
+            buf_[at + i] = uint8_t(v >> (8 * i));
+    }
+
+    /** Store @p v at @p p in the byte order u64() appends. */
+    static void store64(uint8_t *p, uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            p[i] = uint8_t(v >> (8 * i));
+    }
+
     const std::vector<uint8_t> &data() const { return buf_; }
     std::vector<uint8_t> take() { return std::move(buf_); }
     size_t size() const { return buf_.size(); }

@@ -32,7 +32,8 @@ namespace {
  *  flies 10 simulated seconds from a +20 degree initial heading
  *  (exercises the correction transient) under each SoC config; the
  *  s-shape set flies 30 s, long enough to cross most of the curved
- *  corridor, under each config at headings -20/0/+20 degrees. */
+ *  corridor, under each config at headings -20/0/+20 degrees; the
+ *  zigzag mission flies 8 s under config A. */
 core::MissionSpec
 canonicalSpec(const std::string &world, const std::string &socName,
               double yawDeg, double maxSimSeconds)
@@ -74,6 +75,12 @@ constexpr Golden kSShapeGolden[] = {
     {"C", 0xdd586b6ebb749adbULL, 3000, 51, -20.0},
     {"C", 0xbf3de3ce0eeaadf9ULL, 3000, 53, 0.0},
     {"C", 0x91c769f545ee8f07ULL, 3000, 25, 20.0},
+};
+
+// The zigzag corridor's ray march tests every bisection midpoint (no
+// curvature bound) and its centerY resumes a precomputed trapezoid sum.
+constexpr Golden kZigzagGolden[] = {
+    {"A", 0x18f8fac736f6e77dULL, 800, 0, 0.0},
 };
 
 /** Run each golden mission and check (or, under ROSE_REGEN_GOLDEN,
@@ -133,6 +140,11 @@ TEST(GoldenTrace, CanonicalSShapeMissions)
     // The s-shape path is the one that exercises the curved-wall ray
     // march and the full template-bank pose fit on every frame.
     checkGoldens("kSShapeGolden", "s-shape", 30.0, kSShapeGolden);
+}
+
+TEST(GoldenTrace, CanonicalZigzagMission)
+{
+    checkGoldens("kZigzagGolden", "zigzag", 8.0, kZigzagGolden);
 }
 
 TEST(GoldenTrace, HashPrimitivesAreStable)

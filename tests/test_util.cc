@@ -226,41 +226,6 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(s.stddev(), 3.0, 0.05);
 }
 
-TEST(Rng, GaussianFillMatchesScalarLoopBitwise)
-{
-    // The batch call must leave exactly what the scalar calls leave:
-    // the same values and the same saveState bytes (xoshiro words,
-    // spare flag and spare value), with and without a pending spare.
-    auto stateBytes = [](const Rng &r) {
-        StateWriter w;
-        r.saveState(w);
-        return w.data();
-    };
-    for (bool pending : {false, true}) {
-        for (size_t n : {size_t(0), size_t(1), size_t(7), size_t(3072)}) {
-            Rng scalar(99), batch(99);
-            if (pending) {
-                scalar.gaussian();
-                batch.gaussian();
-            }
-            std::vector<double> want(n), got(n + 1, -7.0);
-            for (size_t i = 0; i < n; ++i)
-                want[i] = scalar.gaussian(0.25, 0.01);
-            batch.gaussianFill(0.25, 0.01, got.data(), n);
-            EXPECT_EQ(got[n], -7.0) << "wrote past n=" << n;
-            got.resize(n);
-            EXPECT_TRUE(n == 0 || std::memcmp(want.data(), got.data(),
-                                              n * sizeof(double)) == 0)
-                << "n=" << n << " pending=" << pending;
-            EXPECT_EQ(stateBytes(scalar), stateBytes(batch))
-                << "n=" << n << " pending=" << pending;
-            // Both streams continue identically.
-            EXPECT_EQ(scalar.gaussian(), batch.gaussian());
-            EXPECT_EQ(scalar.next(), batch.next());
-        }
-    }
-}
-
 TEST(Rng, BernoulliRate)
 {
     Rng r(17);
